@@ -4,7 +4,7 @@ Every family is computed exactly: characteristic polynomials of the
 adjacency/Laplacian/cycle matrices by Faddeev-LeVerrier over arbitrary
 precision integers, the matching family by the delete/shrink recursion on
 edges, the chromatic polynomial by memoized deletion-contraction, the Tutte
-polynomial by deletion-contraction on multigraph intermediates, and the
+polynomial by memoized deletion-contraction over parallel-edge bundles, and the
 subset-counting families (independence, clique, vertex cover, domination,
 edge cover) by direct predicate counting.  Family names double as the stable
 CLI/JSON identifiers.
@@ -19,8 +19,7 @@ from typing import Callable, Sequence, Union
 
 from .graphs import (Graph, canonical_form, complement, connected_components,
                      graph, induced_subgraph, similarity_triple)
-from .polynomials import (IntPoly, MultiPoly, ONE, ZERO, IntPoly as _IP,
-                          reverse_coefficients)
+from .polynomials import IntPoly, MultiPoly, ONE, reverse_coefficients
 
 CHROMATIC_MAX_N = 10
 TUTTE_MAX_N = 9
@@ -265,68 +264,63 @@ def chromatic_poly(g: Graph) -> IntPoly:
 
 # -- Tutte -----------------------------------------------------------------------
 
-_TUTTE_ONE = MultiPoly.constant(2, 1)
-_TUTTE_X = MultiPoly.variable(2, 0)
-_TUTTE_Y = MultiPoly.variable(2, 1)
-
-
-def _multigraph_connected(n: int, edges: tuple, u: int, v: int,
-                          skip: int) -> bool:
-    """Are u,v connected using all edge copies except index ``skip``?"""
-    adj: dict[int, set[int]] = {}
-    for i, (a, b) in enumerate(edges):
-        if i == skip or a == b:
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+def _joined(bundles: tuple, u: int, v: int) -> bool:
+    """Is v reachable from u along the given bundles?"""
+    adj: dict[int, list[int]] = {}
+    for (a, b), _ in bundles:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     seen = {u}
     stack = [u]
     while stack:
-        w = stack.pop()
-        if w == v:
-            return True
-        for x in adj.get(w, ()):
+        for x in adj.get(stack.pop(), ()):
+            if x == v:
+                return True
             if x not in seen:
                 seen.add(x)
                 stack.append(x)
-    return v in seen
+    return False
 
 
-def _tutte(n: int, edges: tuple) -> MultiPoly:
-    if not edges:
-        return _TUTTE_ONE
-    # peel loops first
-    for i, (a, b) in enumerate(edges):
-        if a == b:
-            return _TUTTE_Y * _tutte(n, edges[:i] + edges[i + 1:])
-    (u, v) = edges[0]
-    rest = edges[1:]
-    contracted = _contract_multi(n, rest, u, v)
-    if not _multigraph_connected(n, edges, u, v, 0):
-        return _TUTTE_X * _tutte(n - 1, contracted)
-    return _tutte(n, rest) + _tutte(n - 1, contracted)
-
-
-def _contract_multi(n: int, edges: tuple, u: int, v: int) -> tuple:
-    hi, lo = max(u, v), min(u, v)
-
-    def relabel(w: int) -> int:
-        if w == hi:
-            return lo
-        return w - 1 if w > hi else w
-
-    out = []
-    for a, b in edges:
-        x, y = relabel(a), relabel(b)
-        out.append((min(x, y), max(x, y)))
-    return tuple(sorted(out))
+def _tutte(bundles: tuple, memo: dict) -> dict[tuple[int, int], int]:
+    if not bundles:
+        return {(0, 0): 1}
+    hit = memo.get(bundles)
+    if hit is not None:
+        return hit
+    (u, v), k = bundles[0]
+    rest = bundles[1:]
+    merged: dict[tuple[int, int], int] = {}
+    for (a, b), c in rest:  # contract v into u
+        a, b = (u if a == v else a), (u if b == v else b)
+        key = (a, b) if a < b else (b, a)
+        merged[key] = merged.get(key, 0) + c
+    bridge = not _joined(rest, u, v)
+    out = {} if bridge else dict(_tutte(rest, memo))
+    for (i, j), c in _tutte(tuple(sorted(merged.items())), memo).items():
+        head = (i + 1, j) if bridge else (i, j)  # x or 1
+        out[head] = out.get(head, 0) + c
+        for t in range(1, k):  # y + ... + y^(k-1)
+            out[i, j + t] = out.get((i, j + t), 0) + c
+    memo[bundles] = out
+    return out
 
 
 def tutte_poly(g: Graph) -> MultiPoly:
-    """Tutte polynomial; intermediates of the recursion are multigraphs."""
+    """Tutte polynomial by deletion-contraction over parallel-edge bundles.
+
+    Intermediates are loopless multigraphs held as sorted tuples of bundles
+    ((u, v), k): k parallel u-v edges.  Removing a whole bundle B at once,
+    T(G) = T(G-B) + (1 + y + ... + y^(k-1)) T(G/B) when u and v stay joined
+    without B, and T(G) = (x + y + ... + y^(k-1)) T(G/B) when B is a bridge
+    bundle.  B holds every u-v edge, so contracting it makes no loops.
+    Results are memoized on the bundle tuple for the duration of one call and
+    kept as {(i, j): coefficient} dicts until the final MultiPoly.
+    """
     if g.n > TUTTE_MAX_N:
         raise ValueError(f"tutte_poly supports n <= {TUTTE_MAX_N}")
-    return _tutte(g.n, tuple(sorted(g.edges)))
+    bundles = tuple((e, 1) for e in sorted(g.edges))
+    return MultiPoly.from_dict(2, _tutte(bundles, {}))
 
 
 def universal_tutte_check(g: Graph, point: Sequence[Fraction]) -> bool:

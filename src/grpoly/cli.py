@@ -5,7 +5,8 @@ scatter.  All numeric output is printed as decimal strings with fixed
 precision and results are merged in input order, so identical invocations
 are byte-identical regardless of the GRPOLY_THREADS worker count.
 
-Exit codes: 0 success, 1 verification did not PASS, 2 usage error.
+Exit codes: 0 success, 1 verification did not PASS, 2 usage error, 3 numeric
+root finding failed (``RootFindingError``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .graphs import (Graph, enumerate_graphs, graph_from_graph6,
                      graph_to_graph6, named_graph, similarity_triple,
                      tree_from_prufer)
 from .polynomials import IntPoly, MultiPoly, multipoly_to_json, poly_to_json
-from .roots import root_report, scatter_rows
+from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
 from .transforms import TRANSFORM_NAMES, apply_named_transform, density_witness
 
@@ -321,6 +322,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RootFindingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

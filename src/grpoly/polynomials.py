@@ -117,17 +117,6 @@ def poly(*coeffs: int, basis: str = POWER) -> IntPoly:
     return IntPoly(tuple(coeffs), basis)
 
 
-def arith(a: IntPoly, b: IntPoly, op: str) -> IntPoly:
-    """Named add/sub/mul dispatch (stable external entry point)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def evaluate(p: IntPoly, x):
     """Horner evaluation.  Exact for int/Fraction points, float for complex."""
     if p.basis != POWER:

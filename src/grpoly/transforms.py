@@ -109,7 +109,13 @@ def realify(p: IntPoly, s: int) -> IntPoly:
 
 
 def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
-    """Read h_i = multiplicity(i) - 1 back off a realified polynomial."""
+    """Read h_i = multiplicity(i) - 1 back off a realified polynomial.
+
+    ValueError unless q == realify(h, s) for some h: q is nonzero, has a root
+    at each of 0..s and leaves the quotient 1 once they are divided out.
+    """
+    if q.is_zero():
+        raise ValueError("zero polynomial is not a realified polynomial")
     coeffs = []
     remaining = list(q.coeffs)
     for i in range(s + 1):
@@ -123,8 +129,9 @@ def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
         if mult == 0:
             raise ValueError(f"no root at {i}: not a realified polynomial")
         coeffs.append(mult - 1)
-    if len(remaining) != 1:
-        raise ValueError("leftover roots outside 0..s")
+    if remaining != [1]:
+        raise ValueError(f"quotient {remaining} is not 1 after dividing out "
+                         "the roots 0..s")
     return IntPoly(tuple(coeffs))
 
 

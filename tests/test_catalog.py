@@ -10,7 +10,7 @@ from grpoly.catalog import (adjacency_matrix, catalog_identities, char_poly,
 from grpoly.graphs import (complement, disjoint_union, enumerate_graphs,
                            graph, named_graph, similarity_triple,
                            tree_shapes_by_prufer)
-from grpoly.polynomials import IntPoly, evaluate, poly
+from grpoly.polynomials import IntPoly, evaluate, poly, substitute
 from grpoly.roots import integer_roots
 from oracles import (char_poly_oracle, edge_cover_counts_brute,
                      matching_counts_brute, proper_coloring_count,
@@ -208,6 +208,28 @@ class TestTutte:
             if similarity_triple(g).k == 1:
                 assert tutte_poly(g).evaluate((1, 1)) == \
                     spanning_tree_count_brute(g)
+
+    def test_chromatic_specialization(self):
+        # P(G; L) = (-1)^(n-k) L^k T(G; 1-L, 0)
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                k = similarity_triple(g).k
+                at_y0 = {i: c for (i, j), c in tutte_poly(g).terms if j == 0}
+                t_x = IntPoly(tuple(at_y0.get(i, 0) for i in range(n)))
+                sign_lk = IntPoly((0,) * k + ((-1) ** (n - k),))
+                assert chromatic_poly(g) == \
+                    substitute(t_x, poly(1, -1)) * sign_lk
+
+    def test_two_two_counts_edge_subsets(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g()[1:]:  # every graph with 1 <= n <= 7
+            g = graph(h.number_of_nodes(), h.edges())
+            assert tutte_poly(g).evaluate((2, 2)) == 2 ** g.m
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_cayley_spanning_trees_of_complete_graph(self, n):
+        assert tutte_poly(named_graph("complete", n)).evaluate((1, 1)) == \
+            n ** (n - 2)
 
 
 class TestUniversalTutte:

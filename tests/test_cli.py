@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from grpoly import roots
 from grpoly.cli import main
 
 
@@ -170,6 +171,16 @@ class TestScatter:
         assert lines[0] == "re,im,modulus,graph6,family"
         assert len(lines) == 5  # degree-4 polynomial: 4 roots w/ multiplicity
         assert all(line.endswith(",Cl,charA") for line in lines[1:])
+
+    def test_root_finding_failure_exit_three(self, capsys, monkeypatch):
+        def fail(p, tol=None):
+            raise roots.RootFindingError("did not converge")
+
+        monkeypatch.setattr(roots, "complex_roots", fail)
+        code, _, err = run_cli(
+            ["scatter", "--family", "charA", "--named", "cycle:4"], capsys)
+        assert code == 3
+        assert err == "error: did not converge\n"
 
 
 class TestStdinSource:

@@ -119,6 +119,27 @@ class TestRealify:
         r = realify(q, s)
         assert deinterleave(recover_coefficients(r, s)) == p
 
+    @pytest.mark.parametrize("make", [
+        lambda r: r * 2,
+        lambda r: -r,
+        lambda r: r * poly(-2, 1),  # an extra root at s + 1
+    ], ids=["doubled", "negated", "extra-root"])
+    def test_non_realified_multiple_rejected(self, make):
+        r = realify(poly(1, 2), 1)
+        with pytest.raises(ValueError):
+            recover_coefficients(make(r), 1)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_changed_coefficient_rejected(self, index):
+        coeffs = list(realify(poly(1, 2), 1).coeffs)
+        coeffs[index] += 1
+        with pytest.raises(ValueError):
+            recover_coefficients(IntPoly(tuple(coeffs)), 1)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            recover_coefficients(IntPoly(()), 1)
+
     def test_rootencode(self):
         assert realify_rootencode(poly(3, 5)) == poly(15, -8, 1)
         assert realify_rootencode(IntPoly(()), s=1) == poly(0, 0, 1)
