@@ -5,8 +5,8 @@ coefficient basis tag: ``power`` (monomials X^i), ``falling`` (falling
 factorials X(X-1)...(X-i+1)) or ``binomial`` (binomial coefficients C(X,i)).
 Coefficients are stored ascending by degree with no trailing zeros; the zero
 polynomial has an empty coefficient tuple.  ``RatPoly`` is the same thing over
-`fractions.Fraction` and exists for remainder sequences and root-preserving
-affine substitutions, where exact division is unavoidable.
+`fractions.Fraction` and exists for root-preserving affine substitutions,
+where exact division is unavoidable.
 """
 
 from __future__ import annotations
@@ -287,13 +287,6 @@ class RatPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return RatPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
-
-    def __neg__(self):
-        return RatPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly(tuple(c * other for c in self.coeffs))
@@ -310,12 +303,6 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({list(self.coeffs)})"
-
-
-def rat_from_int(p: IntPoly) -> RatPoly:
-    if p.basis != POWER:
-        p = convert_basis(p, POWER)
-    return RatPoly(tuple(Fraction(c) for c in p.coeffs))
 
 
 def rat_evaluate(p: RatPoly, x):
@@ -345,10 +332,6 @@ def rat_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     return RatPoly(tuple(q)), RatPoly(tuple(rem))
 
 
-def rat_derivative(p: RatPoly) -> RatPoly:
-    return RatPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i))
-
-
 def rat_to_int(p: RatPoly) -> IntPoly:
     """Clear denominators and the content; sign of the leading coeff kept."""
     if p.is_zero():
@@ -366,6 +349,19 @@ def derivative(p: IntPoly) -> IntPoly:
     if p.basis != POWER:
         raise BasisMismatchError("derivative requires the power basis")
     return IntPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i))
+
+
+def divide_linear(coeffs: Sequence[int], r: int) -> list[int] | None:
+    """Exact synthetic division by (X - r); None if r is not a root."""
+    acc = 0
+    out = []
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        out.append(acc)
+    if out[-1] != 0:
+        return None
+    out.pop()
+    return list(reversed(out))
 
 
 # -- multivariate ------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Root location: exact real-root counts, integer roots, numeric complex roots.
 
-Real-rootedness claims are certified by Sturm chains over exact rationals on
-the squarefree part; zero roots come from the trailing-coefficient valuation,
-never from numerics.  Complex roots are numeric only: Aberth-Ehrlich
-simultaneous iteration applied per squarefree factor, so multiplicities are
-exact (from Yun's decomposition) while positions carry a residual tolerance.
+The exact layer stays in Z[x]: Yun's squarefree decomposition takes its gcds
+from primitive pseudo-remainder sequences and divides exactly (by Gauss's
+lemma a primitive divisor leaves an integer quotient), and real-rootedness is
+certified by an integer Sturm chain of the squarefree part; zero roots come
+from the valuation, never from numerics.  Complex roots are numeric only:
+Aberth-Ehrlich iteration per squarefree factor, so multiplicities are exact
+while positions carry a residual tolerance.  ``root_report`` makes one exact
+pass and reads every exact field off it.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from itertools import zip_longest
+from math import gcd, inf
 
-from .polynomials import (IntPoly, RatPoly, rat_derivative, rat_divmod,
-                          rat_evaluate, rat_from_int, rat_to_int)
+from .polynomials import POWER, IntPoly, convert_basis, divide_linear
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 400
@@ -37,110 +40,172 @@ def _require_nonzero(p: IntPoly):
         raise ZeroPolynomialError("zero polynomial")
 
 
-# -- exact squarefree machinery ------------------------------------------------
+# -- exact arithmetic in Z[x], ascending coefficient lists ---------------------
 
-def _monic(p: RatPoly) -> RatPoly:
-    if p.is_zero():
-        return p
-    lead = p.coeffs[-1]
-    return RatPoly(tuple(c / lead for c in p.coeffs))
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f) if i]
 
 
-def rat_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic polynomial gcd over the rationals (Euclid)."""
-    a, b = _monic(a), _monic(b)
-    while not b.is_zero():
-        _, r = rat_divmod(a, b)
-        a, b = b, _monic(r)
-    return a
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its (positive) content."""
+    g = gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of m * a by b for some integer m > 0; zero is [].
+
+    Only positive divisors of |lc(b)| ever multiply the dividend, so the
+    result is a positive multiple of the remainder over Q: same signs.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        f = rem[-1]
+        g = gcd(f, lead)
+        if g < lead:
+            rem = [c * (lead // g) for c in rem]
+        f //= g
+        k = len(rem) - 1 - db
+        for i in range(db):
+            rem[k + i] -= f * b[i]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x]; raises ArithmeticError unless b divides a exactly."""
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], r = divmod(rem[k + db], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        for i in range(db):
+            rem[k + i] -= q[k] * b[i]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, positive leading coefficient; a nonzero, b maybe []."""
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_rem(a, b)
+        if len(a) == 1:
+            return [1]
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def _yun(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """(squarefree part, [(q_i, i)]) of a nonzero f, with f = c * prod q_i^i.
+
+    Every q_i and the squarefree part prod q_i are primitive with positive
+    leading coefficient.
+    """
+    f = _primitive(f if f[-1] > 0 else [-c for c in f])
+    df = _derivative(f)
+    g = _gcd(f, df)
+    b = sqf = _exact_quo(f, g)
+    c = _exact_quo(df, g)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        while d and d[-1] == 0:
+            d.pop()
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _exact_quo(b, a), _exact_quo(d, a)
+        i += 1
+    return sqf, out
+
+
+def _squarefree(p: IntPoly):
+    """(valuation, deflated p, squarefree part, Yun factors of deflated p)."""
+    coeffs = convert_basis(p, POWER).coeffs
+    val = 0
+    while coeffs[val] == 0:
+        val += 1
+    deflated = list(coeffs[val:])
+    sqf, factors = _yun(deflated)
+    return val, deflated, ([0] + sqf if val else sqf), factors
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p / gcd(p, p') as a primitive integer polynomial (positive leading)."""
     _require_nonzero(p)
-    rp = rat_from_int(p)
-    g = rat_gcd(rp, rat_derivative(rp))
-    if g.degree <= 0:
-        q = rp
-    else:
-        q, _ = rat_divmod(rp, g)
-    result = rat_to_int(q)
-    if result.coeffs[-1] < 0:
-        result = -result
-    return result
+    return IntPoly(_squarefree(p)[2])
 
 
 def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Squarefree decomposition [(q_i, i)] with p = c * prod q_i^i exactly."""
     _require_nonzero(p)
-    if p.degree == 0:
-        return []
-    f = _monic(rat_from_int(p))
-    df = rat_derivative(f)
-    g = rat_gcd(f, df)
-    if g.degree == 0:
-        return [(rat_to_int(f), 1)]
-    b, _ = rat_divmod(f, g)
-    q, _ = rat_divmod(df, g)
-    c = q - rat_derivative(b)
-    out: list[tuple[IntPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        a = rat_gcd(b, c)
-        if a.degree > 0:
-            out.append((rat_to_int(a), i))
-            b, _ = rat_divmod(b, a)
-            cq, _ = rat_divmod(c, a)
-        else:
-            cq = c
-        c = cq - rat_derivative(b)
-        i += 1
-    return out
+    return [(IntPoly(q), i)
+            for q, i in _yun(list(convert_basis(p, POWER).coeffs))[1]]
 
 
 # -- Sturm chains --------------------------------------------------------------
 
-def _positive_scale(p: RatPoly) -> RatPoly:
-    """Divide by |leading coefficient|: sign pattern preserved, growth tamed."""
-    if p.is_zero():
-        return p
-    lead = abs(p.coeffs[-1])
-    return RatPoly(tuple(c / lead for c in p.coeffs))
-
-
-def sturm_chain(p: IntPoly) -> list[RatPoly]:
-    """Sturm chain of the squarefree part of p.
-
-    Chain members are rescaled by positive constants only; anything else
-    would corrupt the sign variation counts.
-    """
-    sf = rat_from_int(squarefree_part(p))
-    chain = [sf, rat_derivative(sf)]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = rat_divmod(chain[-2], chain[-1])
-        if r.is_zero():
+def _sturm(sf: list[int]) -> list[list[int]]:
+    chain = [sf]
+    if len(sf) > 1:
+        chain.append(_primitive(_derivative(sf)))
+    while len(chain[-1]) > 1:
+        r = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(_positive_scale(-r))
-    if chain[-1].is_zero():
-        chain.pop()
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _sign_at(q: RatPoly, x) -> int:
-    if q.is_zero():
-        return 0
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Sturm chain of the squarefree part sf of p, over the integers.
+
+    A primitive pseudo-remainder sequence: after sf and sf', each member is
+    the remainder of a positive multiple of the one before last by the last,
+    negated and divided by its positive content.  Members differ from the
+    classical chain by positive factors only; any other scaling would
+    corrupt the sign variation counts.
+    """
+    _require_nonzero(p)
+    return [IntPoly(q) for q in _sturm(_squarefree(p)[2])]
+
+
+def _sign_at(q: list[int], x) -> int:
     if x == inf:
-        c = q.coeffs[-1]
+        c = q[-1]
     elif x == -inf:
-        c = q.coeffs[-1] * (-1) ** q.degree
+        c = -q[-1] if len(q) % 2 == 0 else q[-1]
     else:
-        c = rat_evaluate(q, x)
+        c = 0
+        for a in reversed(q):
+            c = c * x + a
     return (c > 0) - (c < 0)
 
 
-def _variations(chain: list[RatPoly], x) -> int:
+def _variations(chain: list[list[int]], x) -> int:
     signs = [s for s in (_sign_at(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _profile(chain: list[list[int]], zero: int) -> tuple[int, int, int]:
+    v0 = _variations(chain, 0)
+    neg = _variations(chain, -inf) - v0 - zero  # (-inf, 0] holds a zero root
+    return (neg, zero, v0 - _variations(chain, inf))
+
+
+def _real_rooted(chain: list[list[int]]) -> bool:
+    return (_variations(chain, -inf) - _variations(chain, inf)
+            == len(chain[0]) - 1)
 
 
 def sturm_count(p: IntPoly, interval: tuple) -> int:
@@ -154,36 +219,21 @@ def sturm_count(p: IntPoly, interval: tuple) -> int:
     b = b if b == inf else Fraction(b)
     if a != -inf and b != inf and a > b:
         raise ValueError("empty interval")
-    chain = sturm_chain(p)
+    chain = _sturm(_squarefree(p)[2])
     return _variations(chain, a) - _variations(chain, b)
-
-
-def count_distinct_real_roots(p: IntPoly) -> int:
-    return sturm_count(p, (-inf, inf))
 
 
 def is_real_rooted(p: IntPoly) -> bool:
     """True iff every complex root of p is real (constant polys vacuously)."""
     _require_nonzero(p)
-    if p.degree == 0:
-        return True
-    sf = squarefree_part(p)
-    return count_distinct_real_roots(p) == sf.degree
+    return _real_rooted(_sturm(_squarefree(p)[2]))
 
 
 def sign_profile(p: IntPoly) -> tuple[int, int, int]:
     """Distinct real roots split as (negative, zero, positive) counts."""
     _require_nonzero(p)
-    if p.degree == 0:
-        return (0, 0, 0)
-    zero = 1 if p.coeffs[0] == 0 else 0
-    chain = sturm_chain(p)
-    v_neg_inf = _variations(chain, -inf)
-    v0 = _variations(chain, Fraction(0))
-    v_inf = _variations(chain, inf)
-    neg = (v_neg_inf - v0) - zero  # (-inf, 0] includes a zero root
-    pos = v0 - v_inf
-    return (neg, zero, pos)
+    val, _, sf, _ = _squarefree(p)
+    return _profile(_sturm(sf), 1 if val else 0)
 
 
 # -- integer roots ---------------------------------------------------------------
@@ -225,17 +275,24 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _divide_out_root(coeffs: list[int], r: int) -> list[int] | None:
-    """Exact synthetic division by (X - r); None if r is not a root."""
-    out = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        return None
-    out.pop()
-    return list(reversed(out))
+def _integer_roots(val: int, deflated: list[int], sf: list[int]
+                   ) -> dict[int, int]:
+    roots = {0: val} if val else {}
+    trailing = abs(next(c for c in sf if c))
+    for d in _divisors(trailing):
+        for r in (d, -d):
+            work = divide_linear(deflated, r)
+            if work is None:
+                continue
+            mult = 1
+            while True:
+                nxt = divide_linear(work, r)
+                if nxt is None:
+                    break
+                work = nxt
+                mult += 1
+            roots[r] = mult
+    return roots
 
 
 def integer_roots(p: IntPoly) -> dict[int, int]:
@@ -246,33 +303,8 @@ def integer_roots(p: IntPoly) -> dict[int, int]:
     factors; multiplicities come from repeated exact division of p.
     """
     _require_nonzero(p)
-    roots: dict[int, int] = {}
-    coeffs = list(p.coeffs)
-    val = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        val += 1
-    if val:
-        roots[0] = val
-    if len(coeffs) <= 1:
-        return roots
-    deflated = IntPoly(tuple(coeffs))
-    sf = squarefree_part(deflated)
-    trailing = abs(sf.coeffs[0])
-    for d in _divisors(trailing):
-        for r in (d, -d):
-            work = _divide_out_root(list(deflated.coeffs), r)
-            if work is None:
-                continue
-            mult = 1
-            while True:
-                nxt = _divide_out_root(work, r)
-                if nxt is None:
-                    break
-                work = nxt
-                mult += 1
-            roots[r] = mult
-    return roots
+    val, deflated, sf, _ = _squarefree(p)
+    return _integer_roots(val, deflated, sf)
 
 
 # -- numeric complex roots -------------------------------------------------------
@@ -351,25 +383,21 @@ def complex_roots(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL
     _require_nonzero(p)
     if p.degree < 1:
         raise ValueError("complex_roots needs degree >= 1")
-    found: list[tuple[complex, int]] = []
-    coeffs = list(p.coeffs)
-    val = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        val += 1
-    if val:
-        found.append((0j, val))
-    deflated = IntPoly(tuple(coeffs))
-    if deflated.degree >= 1:
-        for factor, mult in yun_decomposition(deflated):
-            if factor.degree < 1:
-                continue
-            for z in _aberth(_float_coeffs(factor)):
-                residual = backward_error(p, z)
-                if residual > tol:
-                    raise RootFindingError(
-                        f"root {z} has backward error {residual:.3e} > tol")
-                found.append((z, mult))
+    p = convert_basis(p, POWER)
+    val, _, _, factors = _squarefree(p)
+    return _complex_roots(p, val, factors, tol)
+
+
+def _complex_roots(p: IntPoly, val: int, factors: list, tol: float
+                   ) -> list[tuple[complex, int]]:
+    found: list[tuple[complex, int]] = [(0j, val)] if val else []
+    for factor, mult in factors:
+        for z in _aberth(_float_coeffs(IntPoly(factor))):
+            residual = backward_error(p, z)
+            if residual > tol:
+                raise RootFindingError(
+                    f"root {z} has backward error {residual:.3e} > tol")
+            found.append((z, mult))
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     total = sum(m for _, m in found)
     assert total == p.degree, (total, p.degree)
@@ -433,12 +461,14 @@ def _fmt(x: float) -> str:
 
 
 def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
+    """Every root fact of p, from one exact pass and one numeric pass."""
     _require_nonzero(p)
-    neg, zero, pos = sign_profile(p)
-    if p.degree >= 1:
-        croots = tuple(complex_roots(p, tol))
-    else:
-        croots = ()
+    p = convert_basis(p, POWER)
+    val, deflated, sf, factors = _squarefree(p)
+    chain = _sturm(sf)
+    neg, zero, pos = _profile(chain, 1 if val else 0)
+    croots = tuple(_complex_roots(p, val, factors, tol)) if p.degree >= 1 \
+        else ()
     residuals = tuple(backward_error(p, z) for z, _ in croots)
     maxmod = max((abs(z) for z, _ in croots), default=0.0)
     return RootReport(
@@ -446,8 +476,8 @@ def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
         negative_real=neg,
         zero_root=zero,
         positive_real=pos,
-        real_rooted=is_real_rooted(p),
-        integer_roots=integer_roots(p),
+        real_rooted=_real_rooted(chain),
+        integer_roots=_integer_roots(val, deflated, sf),
         complex_roots=croots,
         residuals=residuals,
         rouche_radius=rouche_bound(p),

@@ -19,8 +19,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
-from .polynomials import (IntPoly, ONE, RatPoly, evaluate, rat_to_int,
-                          substitute)
+from .polynomials import (IntPoly, ONE, RatPoly, divide_linear, evaluate,
+                          rat_to_int, substitute)
 from .roots import is_real_rooted, rouche_bound
 
 MAX_WITNESS_EDGES = 5_000_000
@@ -121,7 +121,7 @@ def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
     for i in range(s + 1):
         mult = 0
         while True:
-            divided = _divide_linear(remaining, i)
+            divided = divide_linear(remaining, i)
             if divided is None:
                 break
             remaining = divided
@@ -133,19 +133,6 @@ def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
         raise ValueError(f"quotient {remaining} is not 1 after dividing out "
                          "the roots 0..s")
     return IntPoly(tuple(coeffs))
-
-
-def _divide_linear(coeffs: list[int], r: int) -> Optional[list[int]]:
-    """Exact division by (X - r); None if r is not a root."""
-    acc = 0
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        return None
-    out.pop()
-    return list(reversed(out))
 
 
 def realify_rootencode(p: IntPoly, s: int | None = None) -> IntPoly:

@@ -6,9 +6,10 @@ import hypothesis.strategies as st
 
 from grpoly.polynomials import (BasisMismatchError, IntPoly, MultiPoly,
                                 NonIntegralCoefficientError, convert_basis,
-                                evaluate, from_roots, poly, poly_from_json,
-                                poly_to_json, reverse_coefficients,
-                                substitute, univariate_from_multi)
+                                divide_linear, evaluate, from_roots, poly,
+                                poly_from_json, poly_to_json,
+                                reverse_coefficients, substitute,
+                                univariate_from_multi)
 
 small_polys = st.lists(st.integers(-9, 9), max_size=7).map(
     lambda cs: IntPoly(tuple(cs)))
@@ -165,6 +166,22 @@ class TestReverse:
     def test_degree_too_small(self):
         with pytest.raises(ValueError):
             reverse_coefficients(poly(1, 1, 1), 1)
+
+
+class TestDivideLinear:
+    def test_quotient_and_non_root(self):
+        cubic = list(from_roots([(1, 1), (2, 1), (-3, 1)]).coeffs)
+        assert divide_linear(cubic, -3) == list(from_roots([(1, 1),
+                                                            (2, 1)]).coeffs)
+        assert divide_linear(cubic, 3) is None
+
+    @given(small_polys, st.integers(-5, 5))
+    @settings(max_examples=40)
+    def test_inverts_multiplication(self, p, r):
+        if p.is_zero():
+            return
+        q = p * poly(-r, 1)
+        assert divide_linear(list(q.coeffs), r) == list(p.coeffs)
 
 
 class TestJson:

@@ -3,18 +3,20 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from grpoly.catalog import char_poly, chromatic_poly, family_polynomial, \
-    matching_poly, subset_counting_poly
+from grpoly.catalog import FAMILY_ARITY, FAMILY_NAMES, char_poly, \
+    chromatic_poly, family_polynomial, matching_poly, subset_counting_poly
 from grpoly.graphs import enumerate_graphs, named_graph
-from grpoly.polynomials import IntPoly, from_roots, poly
+from grpoly.polynomials import BINOMIAL, FALLING, IntPoly, convert_basis, \
+    from_roots, poly
 from grpoly.roots import (RootFindingError, ZeroPolynomialError,
                           backward_error, complex_roots, integer_roots,
                           is_real_rooted, max_root_modulus, root_report,
                           rouche_bound, sign_profile, squarefree_part,
-                          sturm_count, yun_decomposition)
+                          sturm_chain, sturm_count, yun_decomposition)
 
 C4 = named_graph("cycle", 4)
 K3 = named_graph("complete", 3)
@@ -194,6 +196,147 @@ class TestRootReport:
             assert all(r <= 1e-8 for r in rep.residuals)
             assert rep.max_modulus <= float(rep.rouche_radius) + 1e-6
 
+    def test_other_bases_read_as_their_power_form(self):
+        p = from_roots([(0, 1), (1, 2), (-2, 1)]) * poly(1, 0, 1)
+        for basis in (FALLING, BINOMIAL):
+            q = convert_basis(p, basis)
+            assert root_report(q).to_json() == root_report(p).to_json()
+            assert integer_roots(q) == {0: 1, 1: 2, -2: 1}
+            assert complex_roots(q) == complex_roots(p)
+
     def test_json_is_stable(self):
         rep = root_report(poly(-1, 0, 1))
         assert root_report(poly(-1, 0, 1)).to_json() == rep.to_json()
+
+
+UNIVARIATE = tuple(f for f in FAMILY_NAMES if FAMILY_ARITY[f] == 1)
+X = sympy.Symbol("x")
+
+
+def _catalog_polys(graphs):
+    for g in graphs:
+        for fam in UNIVARIATE:
+            p = family_polynomial(fam, g)
+            if not p.is_zero():
+                yield p
+
+
+def _oracle_graphs():
+    """Every graph with n <= 5, plus every 10th graph with n = 6."""
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    return graphs + enumerate_graphs(6)[::10]
+
+
+def _sympy(p: IntPoly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), X)
+
+
+class TestSympyOracle:
+    """The exact layer against sympy's own Sturm, sqf and root code."""
+
+    def test_catalog_exact_layer(self):
+        checked = 0
+        for p in _catalog_polys(_oracle_graphs()):
+            sp = _sympy(p)
+            zero = 1 if p.coeffs[0] == 0 else 0
+            neg = sp.count_roots(None, 0) - zero  # count_roots: closed
+            pos = sp.count_roots(0, None) - zero
+            assert sign_profile(p) == (neg, zero, pos), p
+            _, sqf = sympy.sqf_list(sp)
+            distinct = sum(q.degree() for q, _ in sqf)
+            assert is_real_rooted(p) == (neg + zero + pos == distinct), p
+            assert [(list(q.coeffs), m) for q, m in yun_decomposition(p)] == \
+                [(list(reversed(q.all_coeffs())), m) for q, m in sqf], p
+            # integer roots come from sympy's factorization; the cubic and
+            # quartic formulas only add irrational roots, slowly
+            oracle = sympy.roots(sp, filter="Z", cubics=False, quartics=False)
+            assert integer_roots(p) == {int(r): m for r, m in oracle.items()}
+            checked += 1
+        assert checked > 700
+
+
+def _proportional_positive(a: list, b: list) -> bool:
+    """a = lambda * b for some rational lambda > 0 (ascending coefficients)."""
+    return (len(a) == len(b) and a[-1] * b[-1] > 0
+            and all(x * b[-1] == y * a[-1] for x, y in zip(a, b)))
+
+
+# (2X - 1)(3X + 2)(X - 2)^2 X (X^2 + X + 1): non-monic, a double root and a
+# zero root, so chain members get negative leading coefficients on the way
+MIXED = from_roots([(Fraction(1, 2), 1), (Fraction(-2, 3), 1), (2, 2),
+                    (0, 1)]) * poly(1, 1, 1)
+
+
+class TestIntegerSturmSigns:
+    @pytest.mark.parametrize("scale", [1, -1, -6, 10])
+    def test_scaling_does_not_change_counts(self, scale):
+        p = MIXED * scale
+        assert sign_profile(p) == (1, 1, 2)
+        assert not is_real_rooted(p)
+        assert sturm_count(p, (-inf, inf)) == 4
+        assert sturm_count(p, (Fraction(-1, 2), 3)) == 3
+        real = from_roots([(-3, 2), (Fraction(5, 2), 1), (1, 1)]) * scale
+        assert sign_profile(real) == (1, 0, 2)
+        assert is_real_rooted(real)
+        assert sturm_count(real, (-3, Fraction(5, 2))) == 2
+
+    def test_chain_is_positive_multiple_of_classical(self):
+        for p in (MIXED, -MIXED, MIXED * -6, poly(1, 0, 1),
+                  from_roots([(-2, 3), (5, 1)]) * 4):
+            classical = _sympy(squarefree_part(p)).sturm()
+            ours = sturm_chain(p)
+            assert len(ours) == len(classical)
+            for a, b in zip(ours, classical):
+                assert all(isinstance(c, int) for c in a.coeffs)
+                b = [Fraction(int(c.p), int(c.q))
+                     for c in reversed(b.all_coeffs())]
+                assert _proportional_positive(list(a.coeffs), b), (a, b)
+
+    def test_endpoints_that_are_roots(self):
+        # roots -3/2, 1/2, 1, 4 and 0; (a, b] includes b and excludes a
+        p = from_roots([(Fraction(-3, 2), 1), (Fraction(1, 2), 2), (1, 1),
+                        (4, 1), (0, 1)])
+        half = Fraction(1, 2)
+        assert sturm_count(p, (half, 1)) == 1
+        assert sturm_count(p, (0, half)) == 1
+        assert sturm_count(p, (Fraction(-3, 2), 0)) == 1
+        assert sturm_count(p, (-inf, Fraction(-3, 2))) == 1
+        assert sturm_count(p, (4, inf)) == 0
+        assert sturm_count(p, (1, 4)) == 1
+        assert sturm_count(p, (half, half)) == 0
+        assert sturm_count(-p, (-inf, 0)) == 2
+        with pytest.raises(ValueError):
+            sturm_count(p, (1, half))
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)),
+                    max_size=4, unique_by=lambda t: t[0]),
+           st.integers(-5, 5).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_constructed_profile(self, roots, scale):
+        p = from_roots(roots) * poly(1, 0, 1) * scale
+        expected = tuple(sum(1 for r, _ in roots if (r > 0) - (r < 0) == s)
+                         for s in (-1, 0, 1))
+        assert sign_profile(p) == expected
+        assert sturm_count(p, (-inf, inf)) == len(roots)
+        assert not is_real_rooted(p)
+        assert integer_roots(p) == dict(roots)
+
+
+class TestReportMatchesPublicApi:
+    """root_report's single pass against the standalone functions."""
+
+    def test_catalog_sample(self):
+        graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+        for p in _catalog_polys(graphs):
+            try:
+                rep = root_report(p)
+            except RootFindingError:
+                with pytest.raises(RootFindingError):
+                    complex_roots(p)
+                continue
+            assert (rep.negative_real, rep.zero_root, rep.positive_real) == \
+                sign_profile(p)
+            assert rep.real_rooted == is_real_rooted(p)
+            assert rep.integer_roots == integer_roots(p)
+            assert rep.complex_roots == \
+                (tuple(complex_roots(p)) if p.degree >= 1 else ())
