@@ -401,26 +401,6 @@ def _edge_cover_poly(g: Graph) -> IntPoly:
     return IntPoly(tuple(counts))
 
 
-def independence_poly(g: Graph) -> IntPoly:
-    return subset_counting_poly(g, "independence")
-
-
-def clique_poly(g: Graph) -> IntPoly:
-    return subset_counting_poly(g, "clique")
-
-
-def vertex_cover_poly(g: Graph) -> IntPoly:
-    return subset_counting_poly(g, "vertexCover")
-
-
-def domination_poly(g: Graph) -> IntPoly:
-    return subset_counting_poly(g, "domination")
-
-
-def edge_cover_poly(g: Graph) -> IntPoly:
-    return subset_counting_poly(g, "edgeCover")
-
-
 # -- identities -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -448,11 +428,11 @@ class IdentityReport:
 
 def catalog_identities(g: Graph) -> IdentityReport:
     """Exact checks Cl(G) = In(complement G) and Vc(G) = X^n In(G; 1/X)."""
-    ind = independence_poly(g)
-    cli = clique_poly(g)
-    vc = vertex_cover_poly(g)
+    ind = subset_counting_poly(g, "independence")
+    cli = subset_counting_poly(g, "clique")
+    vc = subset_counting_poly(g, "vertexCover")
     mismatches = []
-    cl_expected = independence_poly(complement(g))
+    cl_expected = subset_counting_poly(complement(g), "independence")
     if cli != cl_expected:
         mismatches.append(
             f"clique {list(cli.coeffs)} != complement independence "
@@ -484,11 +464,11 @@ _FAMILY_FUNCS: dict[str, Callable[[Graph], Union[IntPoly, MultiPoly]]] = {
     "matchingBiv": lambda g: matching_poly(g, "bivariate"),
     "chromatic": chromatic_poly,
     "tutte": tutte_poly,
-    "independence": independence_poly,
-    "clique": clique_poly,
-    "vertexCover": vertex_cover_poly,
-    "domination": domination_poly,
-    "edgeCover": edge_cover_poly,
+    "independence": lambda g: subset_counting_poly(g, "independence"),
+    "clique": lambda g: subset_counting_poly(g, "clique"),
+    "vertexCover": lambda g: subset_counting_poly(g, "vertexCover"),
+    "domination": lambda g: subset_counting_poly(g, "domination"),
+    "edgeCover": lambda g: subset_counting_poly(g, "edgeCover"),
 }
 
 

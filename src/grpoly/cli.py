@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 from .catalog import FAMILY_ARITY, FAMILY_NAMES, family_polynomial
 from .equivalence import dp_compare
 from .graphs import (Graph, enumerate_graphs, graph_from_graph6,
-                     graph_to_graph6, named_graph, similarity_triple,
-                     tree_from_prufer)
+                     graph_to_graph6, named_graph, read_graph6_lines,
+                     similarity_triple, tree_from_prufer)
 from .polynomials import IntPoly, MultiPoly, multipoly_to_json, poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
@@ -80,8 +80,7 @@ def _load_source(args) -> list[Graph]:
     else:
         with open(args.graph6, "r", encoding="ascii") as fh:
             text = fh.read()
-    return [graph_from_graph6(line) for line in text.splitlines()
-            if line.strip()]
+    return read_graph6_lines(text)
 
 
 class UsageError(ValueError):

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 MAX_ENUM_N = 8
 MAX_CANON_N = 10
@@ -327,10 +327,6 @@ def graph_from_graph6(text: str) -> Graph:
     return graph(n, edges)
 
 
-def write_graph6_lines(graphs: Iterable[Graph]) -> str:
-    return "".join(graph_to_graph6(g) + "\n" for g in graphs)
-
-
 def read_graph6_lines(text: str) -> list[Graph]:
     return [graph_from_graph6(line) for line in text.splitlines() if line.strip()]
 
@@ -436,52 +432,36 @@ def _canon_graph(n: int, bits: tuple[int, ...]) -> Graph:
 
 
 # -- isomorph-free enumeration --------------------------------------------------
+#
+# Every graph on n vertices is an (n-1)-vertex graph plus one vertex joined to
+# some subset of it, so extending one representative per (n-1)-class by every
+# neighborhood reaches every n-class; the canonical key keeps one of each.
 
 _ENUM_CACHE: dict[int, list[Graph]] = {}
 
 
-def _enumerate_exhaustive(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All isomorphism classes by labeled exhaustion; canon bits -> masks."""
-    pairs = list(itertools.combinations(range(n), 2))
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        key = _canon_bits(n, adj)
-        if key not in reps:
-            reps[key] = tuple(adj)
-    return reps
-
-
-def _augment(reps: dict[tuple[int, ...], tuple[int, ...]], n: int
-             ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Extend (n-1)-vertex class representatives by one vertex, dedup."""
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """Canonical keys of every one-vertex extension of the (n-1)-vertex masks."""
+    keys: set[tuple[int, ...]] = set()
     new_bit = 1 << (n - 1)
-    for adj in reps.values():
+    for adj in reps:
         for nb in range(1 << (n - 1)):
             ext = [adj[i] | (new_bit if nb >> i & 1 else 0)
                    for i in range(n - 1)]
             ext.append(nb)
-            key = _canon_bits(n, ext)
-            if key not in out:
-                out[key] = tuple(ext)
-    return out
+            keys.add(_canon_bits(n, ext))
+    return keys
 
 
 def _enumerate_classes(n: int) -> list[Graph]:
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
-    if n <= 6:
-        reps = _enumerate_exhaustive(n)
+    if n == 1:
+        keys = {()}  # the one-vertex graph has no adjacency bits
     else:
-        prev = {_canon_bits(g.n, g.adjacency_masks()): g.adjacency_masks()
-                for g in _enumerate_classes(n - 1)}
-        reps = _augment(prev, n)
-    graphs = sorted((_canon_graph(n, bits) for bits in reps),
+        keys = _augment([g.adjacency_masks() for g in _enumerate_classes(n - 1)],
+                        n)
+    graphs = sorted((_canon_graph(n, bits) for bits in keys),
                     key=lambda g: (g.m, graph_to_graph6(g)))
     _ENUM_CACHE[n] = graphs
     return graphs
@@ -491,9 +471,9 @@ def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
                      ) -> list[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
-    Labeled exhaustion with canonical dedup up to n=6, single-vertex
-    augmentation for n=7..8.  Deterministic order: by edge count, then by
-    graph6 string of the canonical labeling.  ``mk=(m, k)`` restricts the
+    Grown from the one-vertex graph by single-vertex augmentation with
+    canonical dedup at every order.  Deterministic order: by edge count, then
+    by graph6 string of the canonical labeling.  ``mk=(m, k)`` restricts the
     output to graphs with that edge and component count.
     """
     if not 1 <= n <= MAX_ENUM_N:
@@ -507,22 +487,23 @@ def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
 
 # -- tree shapes --------------------------------------------------------------
 #
-# Dedup of decoded Prüfer sequences uses the classic rooted-shape code from
-# the tree center: leaves strip off round by round and each vertex's code is
-# the sorted tuple of its already-stripped neighbors' codes, interned to small
-# ints.  For bicentral trees the code is the sorted pair over the central edge.
+# Shapes grow like graphs: a leaf added on each vertex of each (n-1)-shape
+# reaches every n-shape (strip any leaf of an n-tree).  Dedup uses the classic
+# rooted-shape code from the tree center: leaves strip off round by round and
+# each vertex's code is the sorted tuple of its already-stripped neighbors'
+# codes, interned to small ints in one table per order, so equal shapes get
+# equal ids.  For bicentral trees the code is the sorted pair over the
+# central edge.
 
-def _tree_cert(edges: list[tuple[int, int]], n: int, intern: dict,
-               expand: list):
+def _tree_cert(edges: list[tuple[int, int]], n: int, intern: dict) -> int:
+    def cid(key) -> int:
+        # key kinds: plain tuple of child ids, ("C", child-id tuple), ("B", id, id)
+        return intern.setdefault(key, len(intern))
+
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    if n == 1:
-        return _intern_key((), intern, expand)
-    if n == 2:
-        leaf = _intern_key((), intern, expand)
-        return _intern_key(("B", leaf, leaf), intern, expand)
     deg = [len(a) for a in adj]
     removed = [False] * n
     rank = [0] * n
@@ -549,84 +530,37 @@ def _tree_cert(edges: list[tuple[int, int]], n: int, intern: dict,
     for v in order:
         kids = tuple(sorted(code[u] for u in adj[v]
                             if removed[u] and rank[u] < rank[v]))
-        code[v] = _intern_key(kids, intern, expand)
+        code[v] = cid(kids)
     centers = [v for v in range(n) if not removed[v]]
     if len(centers) == 1:
         c = centers[0]
         kids = tuple(sorted(code[u] for u in adj[c]))
-        return _intern_key(("C", kids), intern, expand)
+        return cid(("C", kids))
     c1, c2 = centers
-    a = _intern_key(tuple(sorted(code[u] for u in adj[c1] if u != c2)),
-                    intern, expand)
-    b = _intern_key(tuple(sorted(code[u] for u in adj[c2] if u != c1)),
-                    intern, expand)
-    return _intern_key(("B", min(a, b), max(a, b)), intern, expand)
-
-
-def _intern_key(key, intern: dict, expand: list) -> int:
-    # key kinds: plain tuple of child ids, ("C", child-id tuple), ("B", id, id)
-    # expanded forms sort children structurally (ids are chunk-local, so id
-    # order is not canonical across workers)
-    cid = intern.get(key)
-    if cid is None:
-        cid = len(expand)
-        intern[key] = cid
-        if key and key[0] == "C":
-            expand.append(("C", tuple(sorted(expand[k] for k in key[1]))))
-        elif key and key[0] == "B":
-            expand.append(("B",) + tuple(sorted((expand[key[1]],
-                                                 expand[key[2]]))))
-        else:
-            expand.append(tuple(sorted(expand[k] for k in key)))
-    return cid
-
-
-def _prufer_chunk(args) -> dict:
-    n, first = args
-    intern: dict = {}
-    expand: list = []
-    seen: set[int] = set()
-    found: dict = {}
-    for rest in itertools.product(range(n), repeat=n - 3):
-        code = (first,) + rest
-        edges = _prufer_edges(code, n)
-        cid = _tree_cert(edges, n, intern, expand)
-        if cid not in seen:
-            seen.add(cid)
-            found[expand[cid]] = edges
-    return found
+    a = cid(tuple(sorted(code[u] for u in adj[c1] if u != c2)))
+    b = cid(tuple(sorted(code[u] for u in adj[c2] if u != c1)))
+    return cid(("B", min(a, b), max(a, b)))
 
 
 def tree_shapes_by_prufer(n: int, processes: int | None = None) -> list[Graph]:
-    """All tree shapes on n vertices by decoding every Prüfer sequence.
+    """All tree shapes on n vertices, sorted by graph6.
 
-    The n^(n-2) labeled trees are deduplicated with the center-rooted shape
-    code.  Work is split over the first code symbol when more than one
-    process is requested (n=9 is ~4.8M decodes).
+    Grown from the one-vertex tree by adding a leaf on every vertex of every
+    (k-1)-shape and keeping the first tree of each center-rooted shape code,
+    for k = 2..n.  ``processes`` is ignored; it stays only because the
+    benchmark worker (``perfbench/worker.py``) still passes it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return [graph(1)]
-    if n == 2:
-        return [graph(2, [(0, 1)])]
-    if n == 3:
-        return [graph(3, [(0, 1), (1, 2)])]
-    chunks = [(n, first) for first in range(n)]
-    if processes is None:
-        processes = 1
-    if processes > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            results = pool.map(_prufer_chunk, chunks)
-    else:
-        results = [_prufer_chunk(c) for c in chunks]
-    merged: dict = {}
-    for found in results:
-        for cert, edges in found.items():
-            if cert not in merged:
-                merged[cert] = edges
-    trees = [graph(n, edges) for edges in merged.values()]
+    shapes: list[list[tuple[int, int]]] = [[]]
+    for k in range(2, n + 1):
+        intern: dict = {}
+        found: dict[int, list[tuple[int, int]]] = {}
+        for edges in shapes:
+            for v in range(k - 1):
+                grown = edges + [(v, k - 1)]
+                found.setdefault(_tree_cert(grown, k, intern), grown)
+        shapes = list(found.values())
+    trees = [graph(n, edges) for edges in shapes]
     trees.sort(key=graph_to_graph6)
     return trees

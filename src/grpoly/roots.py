@@ -365,8 +365,11 @@ def _aberth(coeffs: list[float]) -> list[complex]:
 
 
 def backward_error(p: IntPoly, z: complex) -> float:
-    """|p(z)| / sum_i |c_i||z|^i: relative residual of z as a root of p."""
-    norm = _float_coeffs(p)
+    """|p(z)| / sum_i |c_i||z|^i: relative residual of z as a root of p.
+
+    The c_i are power-basis coefficients; other bases are converted first.
+    """
+    norm = _float_coeffs(convert_basis(p, POWER))
     value = abs(_horner2(norm, z)[0])
     scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(norm))
     return value / scale if scale else value
@@ -412,10 +415,14 @@ def max_root_modulus(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> float:
 
 
 def rouche_bound(p: IntPoly) -> Fraction:
-    """Exact disk radius 1 + max_(i<d) |h_i| / |h_d| containing all roots."""
+    """Exact disk radius 1 + max_(i<d) |h_i| / |h_d| containing all roots.
+
+    The h_i are power-basis coefficients; other bases are converted first.
+    """
     _require_nonzero(p)
     if p.degree == 0:
         return Fraction(1)
+    p = convert_basis(p, POWER)
     lead = abs(p.coeffs[-1])
     rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
     return 1 + Fraction(rest, lead)

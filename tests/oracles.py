@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinants by fraction Gaussian elimination,
 isomorphism by permutation search, colorings/matchings/covers by direct
-subset enumeration, class counts by the orbit-counting formula.
+subset enumeration, class counts by the orbit-counting formula, tree shapes
+by decoding every Prüfer sequence.
 """
 
 from fractions import Fraction
@@ -204,3 +205,29 @@ def prufer_decode_reference(code, n):
     last = [v for v in range(n) if not used[v] and deg[v] == 1]
     edges.append((min(last), max(last)))
     return sorted(edges)
+
+
+def tree_code(n: int, edges) -> str:
+    """Isomorphism-complete free-tree code: the least AHU string over roots."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def rooted(v, parent):
+        return "(" + "".join(sorted(rooted(u, v) for u in adj[v]
+                                    if u != parent)) + ")"
+
+    return min(rooted(r, -1) for r in range(n))
+
+
+def prufer_tree_shapes(n: int) -> dict[str, list[tuple[int, int]]]:
+    """Tree shapes on n >= 2 vertices: all n^(n-2) Prüfer codes, decoded.
+
+    Maps each shape's ``tree_code`` to the first decoded tree of that shape.
+    """
+    shapes = {}
+    for code in product(range(n), repeat=n - 2):
+        edges = prufer_decode_reference(code, n)
+        shapes.setdefault(tree_code(n, edges), edges)
+    return shapes

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +13,7 @@ from grpoly.graphs import (Graph, Graph6Error, build_graph_with_parameters,
                            similarity_triple, tree_from_prufer,
                            tree_shapes_by_prufer, SimilarityTriple)
 from oracles import (brute_isomorphic, orbit_counting_classes,
-                     prufer_decode_reference)
+                     prufer_decode_reference, prufer_tree_shapes, tree_code)
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
@@ -255,6 +256,17 @@ class TestEnumeration:
         b = [graph_to_graph6(g) for g in enumerate_graphs(5)]
         assert a == b
 
+    def test_matches_networkx_atlas(self):
+        # the atlas lists every graph with n <= 7, one per class
+        atlas: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+        for h in nx.graph_atlas_g()[1:]:
+            atlas[h.number_of_nodes()].add(
+                canonical_form(graph(h.number_of_nodes(), h.edges())))
+        for n in range(1, 8):
+            forms = [canonical_form(g) for g in enumerate_graphs(n)]
+            assert len(forms) == len(set(forms))
+            assert set(forms) == atlas[n]
+
 
 class TestTreeShapes:
     def test_counts_up_to_seven(self):
@@ -275,3 +287,22 @@ class TestTreeShapes:
             assert len(connected_components(t)) == 1
             forms.add(canonical_form(t))
         assert len(forms) == len(shapes)
+
+    def test_sorted_by_graph6(self):
+        for n in range(1, 10):
+            g6 = [graph_to_graph6(t) for t in tree_shapes_by_prufer(n)]
+            assert g6 == sorted(g6)
+
+    def test_matches_networkx_nonisomorphic_trees(self):
+        for n in range(2, 10):
+            codes = [tree_code(n, t.edges) for t in tree_shapes_by_prufer(n)]
+            expected = {tree_code(n, t.edges())
+                        for t in nx.nonisomorphic_trees(n)}
+            assert len(codes) == len(set(codes))
+            assert set(codes) == expected
+
+    def test_matches_exhaustive_prufer_decoding(self):
+        for n in range(2, 8):
+            codes = {tree_code(n, t.edges) for t in tree_shapes_by_prufer(n)}
+            assert codes == set(prufer_tree_shapes(n))
+

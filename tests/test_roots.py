@@ -162,6 +162,14 @@ class TestRoucheBound:
                     continue
                 assert max_root_modulus(p) <= float(rouche_bound(p)) + 1e-6
 
+    def test_other_bases_read_as_their_power_form(self):
+        p = poly(3, -4, 1)  # (X - 1)(X - 3)
+        for basis in (FALLING, BINOMIAL):
+            q = convert_basis(p, basis)
+            assert rouche_bound(q) == rouche_bound(p) == 5
+            assert backward_error(q, 3) == backward_error(p, 3) == 0.0
+            assert backward_error(q, 2 + 1j) == backward_error(p, 2 + 1j)
+
 
 class TestRootReport:
     def test_defect_matching_c4(self):
