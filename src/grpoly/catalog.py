@@ -36,44 +36,20 @@ FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
 
 # -- graph matrices -----------------------------------------------------------
 
-MATRIX_KINDS = ("adjacency", "laplacian", "cycle")
-
-
-@dataclass(frozen=True)
-class GraphMatrix:
-    kind: str
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-
-def adjacency_matrix(g: Graph) -> GraphMatrix:
+def adjacency_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
-    return GraphMatrix("adjacency", tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def laplacian_matrix(g: Graph) -> GraphMatrix:
+def laplacian_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = -1
         rows[u][u] += 1
         rows[v][v] += 1
-    return GraphMatrix("laplacian", tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def _shortest_cycle_through(g: Graph, u: int, v: int) -> int:
@@ -101,14 +77,14 @@ def _shortest_cycle_through(g: Graph, u: int, v: int) -> int:
     return 1
 
 
-def cycle_matrix(g: Graph) -> GraphMatrix:
+def cycle_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         c = _shortest_cycle_through(g, u, v)
         rows[u][v] = rows[v][u] = c
     for v in range(g.n):
         rows[v][v] = g.degree(v)
-    return GraphMatrix("cycle", tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def _char_poly_of_matrix(entries: Sequence[Sequence[int]]) -> IntPoly:
@@ -141,7 +117,7 @@ def char_poly(g: Graph, kind: str) -> IntPoly:
         mat = cycle_matrix(g)
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    return _char_poly_of_matrix(mat.entries)
+    return _char_poly_of_matrix(mat)
 
 
 def spanning_tree_count(g: Graph) -> int:

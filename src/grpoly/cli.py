@@ -2,8 +2,7 @@
 
 Subcommands: poly, roots, transform, equiv, prefactor, density, enum,
 scatter.  All numeric output is printed as decimal strings with fixed
-precision and results are merged in input order, so identical invocations
-are byte-identical regardless of the GRPOLY_THREADS worker count.
+precision and results are printed in input order.
 
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error, 3 numeric
 root finding failed (``RootFindingError``).
@@ -13,42 +12,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .catalog import FAMILY_ARITY, FAMILY_NAMES, family_polynomial
+from .catalog import FAMILY_NAMES, family_polynomial
 from .equivalence import dp_compare
-from .graphs import (Graph, enumerate_graphs, graph_from_graph6,
-                     graph_to_graph6, named_graph, read_graph6_lines,
-                     similarity_triple, tree_from_prufer)
+from .graphs import (Graph, enumerate_graphs, graph_to_graph6, named_graph,
+                     read_graph6_lines, similarity_triple, tree_from_prufer)
 from .polynomials import IntPoly, MultiPoly, multipoly_to_json, poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
 from .transforms import TRANSFORM_NAMES, apply_named_transform, density_witness
 
 SCATTER_HEADER = "re,im,modulus,graph6,family"
-
-
-def _threads() -> int:
-    raw = os.environ.get("GRPOLY_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)
-
-
-def _ordered_map(fn: Callable, items: Sequence):
-    """Map preserving input order; parallel when GRPOLY_THREADS > 1."""
-    workers = _threads()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, items)
 
 
 # -- graph sources ------------------------------------------------------------
@@ -99,72 +76,47 @@ def _poly_json(value) -> str:
     return poly_to_json(value)
 
 
+def _univariate(family: str, g: Graph, message: str) -> IntPoly:
+    p = family_polynomial(family, g)
+    if isinstance(p, MultiPoly):
+        raise UsageError(message)
+    return p
+
+
 # -- subcommand implementations --------------------------------------------------
-
-def _poly_task(arg) -> str:
-    family, g6 = arg
-    g = graph_from_graph6(g6)
-    return _poly_json(family_polynomial(family, g))
-
 
 def cmd_poly(args) -> int:
     _check_family(args.family)
-    graphs = _load_source(args)
-    lines = _ordered_map(_poly_task,
-                         [(args.family, graph_to_graph6(g)) for g in graphs])
-    if args.format == "json":
-        for line in lines:
-            print(line)
-    else:
-        for g, line in zip(graphs, lines):
-            obj = json.loads(line)
-            coeffs = ";".join(obj.get("coeffs", []))
-            print(f"{graph_to_graph6(g)},{args.family},{coeffs}")
-    return 0
-
-
-def _roots_task(arg) -> str:
-    family, g6 = arg
-    g = graph_from_graph6(g6)
-    p = family_polynomial(family, g)
-    if isinstance(p, MultiPoly):
-        raise UsageError(f"family {family} is multivariate; roots need a "
-                         "univariate family")
-    if p.is_zero():
-        return json.dumps({"graph6": g6, "family": family, "report": None,
-                           "note": "zero polynomial"})
-    rep = root_report(p)
-    return json.dumps({"graph6": g6, "family": family,
-                       "report": json.loads(rep.to_json())})
-
-
-def cmd_roots(args) -> int:
-    _check_family(args.family)
-    graphs = _load_source(args)
-    for line in _ordered_map(_roots_task,
-                             [(args.family, graph_to_graph6(g))
-                              for g in graphs]):
+    lines = []
+    for g in _load_source(args):
+        p = family_polynomial(args.family, g)
+        if args.format == "json":
+            lines.append(_poly_json(p))
+        else:
+            coeffs = ";".join(map(str, p.coeffs)) \
+                if isinstance(p, IntPoly) else ""
+            lines.append(f"{graph_to_graph6(g)},{args.family},{coeffs}")
+    for line in lines:
         print(line)
     return 0
 
 
-def _transform_task(arg) -> list[str]:
-    family, g6, chain = arg
-    g = graph_from_graph6(g6)
-    p = family_polynomial(family, g)
-    if isinstance(p, MultiPoly):
-        raise UsageError("transform chains apply to univariate families")
-    t = similarity_triple(g)
-    out = []
-    for step in chain:
-        name, _, steparg = step.partition(":")
-        record = apply_named_transform(name, p, t, steparg or None)
-        obj = json.loads(record.to_json())
-        obj["graph6"] = g6
-        obj["family"] = family
-        out.append(json.dumps(obj))
-        p = record.output
-    return out
+def cmd_roots(args) -> int:
+    _check_family(args.family)
+    lines = []
+    for g in _load_source(args):
+        p = _univariate(args.family, g,
+                        f"family {args.family} is multivariate; roots need "
+                        "a univariate family")
+        obj = {"graph6": graph_to_graph6(g), "family": args.family}
+        if p.is_zero():
+            obj.update(report=None, note="zero polynomial")
+        else:
+            obj["report"] = json.loads(root_report(p).to_json())
+        lines.append(json.dumps(obj))
+    for line in lines:
+        print(line)
+    return 0
 
 
 def cmd_transform(args) -> int:
@@ -175,12 +127,21 @@ def cmd_transform(args) -> int:
         if name not in TRANSFORM_NAMES:
             raise UsageError(f"unknown transform {name!r}; known: "
                              f"{', '.join(TRANSFORM_NAMES)}")
-    graphs = _load_source(args)
-    for lines in _ordered_map(_transform_task,
-                              [(args.family, graph_to_graph6(g), tuple(chain))
-                               for g in graphs]):
-        for line in lines:
-            print(line)
+    lines = []
+    for g in _load_source(args):
+        p = _univariate(args.family, g,
+                        "transform chains apply to univariate families")
+        t = similarity_triple(g)
+        for step in chain:
+            name, _, steparg = step.partition(":")
+            record = apply_named_transform(name, p, t, steparg or None)
+            obj = json.loads(record.to_json())
+            obj["graph6"] = graph_to_graph6(g)
+            obj["family"] = args.family
+            lines.append(json.dumps(obj))
+            p = record.output
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -226,24 +187,16 @@ def cmd_enum(args) -> int:
     return 0
 
 
-def _scatter_task(arg) -> list[tuple[str, ...]]:
-    family, g6 = arg
-    g = graph_from_graph6(g6)
-    p = family_polynomial(family, g)
-    if isinstance(p, MultiPoly):
-        raise UsageError("scatter needs a univariate family")
-    return scatter_rows(p, g6, family)
-
-
 def cmd_scatter(args) -> int:
     _check_family(args.family)
     graphs = _load_source(args)
     print(SCATTER_HEADER)
-    for rows in _ordered_map(_scatter_task,
-                             [(args.family, graph_to_graph6(g))
-                              for g in graphs]):
-        for row in rows:
-            print(",".join(row))
+    rows = []
+    for g in graphs:
+        p = _univariate(args.family, g, "scatter needs a univariate family")
+        rows.extend(scatter_rows(p, graph_to_graph6(g), args.family))
+    for row in rows:
+        print(",".join(row))
     return 0
 
 

@@ -95,6 +95,32 @@ def _value_json(value: Union[IntPoly, MultiPoly]):
                       for e, c in value.terms]}
 
 
+def _first_violation(q_keys: Sequence, p_keys: Sequence
+                     ) -> Optional[tuple[int, int]]:
+    """First index pair with equal Q-key and different P-key, or None.
+
+    Q-blocks are taken in first-seen order and each block's first member is
+    compared with every later member of that block.
+    """
+    blocks: dict = {}
+    for i, key in enumerate(q_keys):
+        blocks.setdefault(key, []).append(i)
+    for first, *rest in blocks.values():
+        for other in rest:
+            if p_keys[first] != p_keys[other]:
+                return first, other
+    return None
+
+
+def _witness(cls: SimilarityClass, pair: tuple[int, int], left_values: list,
+             right_values: list) -> WitnessPair:
+    i, j = pair
+    return WitnessPair(triple=cls.triple, g1=cls.members[i],
+                       g2=cls.members[j],
+                       left_values=(left_values[i], left_values[j]),
+                       right_values=(right_values[i], right_values[j]))
+
+
 def dp_transfer(p: Family, q: Family, cls: SimilarityClass
                 ) -> tuple[bool, Optional[WitnessPair]]:
     """Does Q-equality force P-equality on this class?
@@ -104,20 +130,13 @@ def dp_transfer(p: Family, q: Family, cls: SimilarityClass
     """
     _, pf = _resolve(p)
     _, qf = _resolve(q)
-    q_blocks: dict = {}
-    p_values: dict = {}
-    for g in cls.members:
-        q_blocks.setdefault(_value_key(qf(g)), []).append(g)
-        p_values[g] = pf(g)
-    for block in q_blocks.values():
-        first = block[0]
-        for other in block[1:]:
-            if _value_key(p_values[first]) != _value_key(p_values[other]):
-                return False, WitnessPair(
-                    triple=cls.triple, g1=first, g2=other,
-                    left_values=(p_values[first], p_values[other]),
-                    right_values=(qf(first), qf(other)))
-    return True, None
+    p_values = [pf(g) for g in cls.members]
+    q_values = [qf(g) for g in cls.members]
+    pair = _first_violation([_value_key(v) for v in q_values],
+                            [_value_key(v) for v in p_values])
+    if pair is None:
+        return True, None
+    return False, _witness(cls, pair, p_values, q_values)
 
 
 RELATIONS = ("equivalent", "left-refines-right", "right-refines-left",
@@ -147,35 +166,28 @@ def dp_compare(left: Family, right: Family, nmax: int) -> EquivalenceVerdict:
     under the right one (the left partition is at least as fine) but not
     conversely; witnesses document each failed direction.
     """
-    left_name, _ = _resolve(left)
-    right_name, _ = _resolve(right)
+    left_name, lf = _resolve(left)
+    right_name, rf = _resolve(right)
     classes = similarity_classes(nmax)
-    left_forces_right = True
-    right_forces_left = True
+    # forces[0]: left-equality forces right-equality; forces[1]: conversely
+    forces = [True, True]
     witnesses: list[WitnessPair] = []
     for cls in classes:
-        if left_forces_right:
-            ok, wit = dp_transfer(right, left, cls)
-            if not ok:
-                left_forces_right = False
-                # witness stores left/right values in verdict orientation
-                witnesses.append(WitnessPair(
-                    triple=wit.triple, g1=wit.g1, g2=wit.g2,
-                    left_values=wit.right_values,
-                    right_values=wit.left_values))
-        if right_forces_left:
-            ok, wit = dp_transfer(left, right, cls)
-            if not ok:
-                right_forces_left = False
-                witnesses.append(wit)
-    if left_forces_right and right_forces_left:
-        relation = "equivalent"
-    elif left_forces_right:
-        relation = "left-refines-right"
-    elif right_forces_left:
-        relation = "right-refines-left"
-    else:
-        relation = "incomparable"
+        if not any(forces):
+            break
+        values = [[f(g) for g in cls.members] for f in (lf, rf)]
+        keys = [[_value_key(v) for v in vals] for vals in values]
+        for d in (0, 1):
+            if not forces[d]:
+                continue
+            pair = _first_violation(keys[d], keys[1 - d])
+            if pair is not None:
+                forces[d] = False
+                witnesses.append(_witness(cls, pair, *values))
+    relation = {(True, True): "equivalent",
+                (True, False): "left-refines-right",
+                (False, True): "right-refines-left",
+                (False, False): "incomparable"}[tuple(forces)]
     return EquivalenceVerdict(left=left_name, right=right_name,
                               relation=relation, witnesses=tuple(witnesses))
 

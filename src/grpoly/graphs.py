@@ -57,10 +57,6 @@ class Graph:
     def adjacency_masks(self) -> tuple[int, ...]:
         return _adj_masks(self.n, self.edges)
 
-    def neighbors(self, v: int) -> list[int]:
-        mask = self.adjacency_masks()[v]
-        return [u for u in range(self.n) if mask >> u & 1]
-
     def degree(self, v: int) -> int:
         return bin(self.adjacency_masks()[v]).count("1")
 
@@ -385,9 +381,14 @@ def _canon_bits(n: int, masks: Sequence[int]) -> tuple[int, ...]:
             if best is None or prefix < best:
                 best = prefix.copy()
             return
+        tried: list[int] = []
         for v in cell_of_pos[i]:
-            if used[v]:
+            # a twin u of v already tried here gives the automorphism (u v),
+            # which fixes the placed prefix, so v's subtree repeats u's
+            if used[v] or any((masks[u] ^ masks[v]) & ~(1 << u | 1 << v) == 0
+                              for u in tried):
                 continue
+            tried.append(v)
             row = masks[v]
             row_bits = [row >> placed[j] & 1 for j in range(i)]
             if best is not None:

@@ -345,12 +345,6 @@ def rat_to_int(p: RatPoly) -> IntPoly:
     return IntPoly(tuple(c // g for c in ints))
 
 
-def derivative(p: IntPoly) -> IntPoly:
-    if p.basis != POWER:
-        raise BasisMismatchError("derivative requires the power basis")
-    return IntPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i))
-
-
 def divide_linear(coeffs: Sequence[int], r: int) -> list[int] | None:
     """Exact synthetic division by (X - r); None if r is not a root."""
     acc = 0

@@ -388,21 +388,23 @@ def complex_roots(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL
         raise ValueError("complex_roots needs degree >= 1")
     p = convert_basis(p, POWER)
     val, _, _, factors = _squarefree(p)
-    return _complex_roots(p, val, factors, tol)
+    return [(z, m) for z, m, _ in _complex_roots(p, val, factors, tol)]
 
 
 def _complex_roots(p: IntPoly, val: int, factors: list, tol: float
-                   ) -> list[tuple[complex, int]]:
-    found: list[tuple[complex, int]] = [(0j, val)] if val else []
+                   ) -> list[tuple[complex, int, float]]:
+    """(root, multiplicity, backward error) triples sorted by root."""
+    # p(0) = 0 exactly, so a zero root's backward error is 0.0
+    found: list[tuple[complex, int, float]] = [(0j, val, 0.0)] if val else []
     for factor, mult in factors:
         for z in _aberth(_float_coeffs(IntPoly(factor))):
             residual = backward_error(p, z)
             if residual > tol:
                 raise RootFindingError(
                     f"root {z} has backward error {residual:.3e} > tol")
-            found.append((z, mult))
+            found.append((z, mult, residual))
     found.sort(key=lambda t: (t[0].real, t[0].imag))
-    total = sum(m for _, m in found)
+    total = sum(m for _, m, _ in found)
     assert total == p.degree, (total, p.degree)
     return found
 
@@ -474,9 +476,9 @@ def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
     val, deflated, sf, factors = _squarefree(p)
     chain = _sturm(sf)
     neg, zero, pos = _profile(chain, 1 if val else 0)
-    croots = tuple(_complex_roots(p, val, factors, tol)) if p.degree >= 1 \
-        else ()
-    residuals = tuple(backward_error(p, z) for z, _ in croots)
+    found = _complex_roots(p, val, factors, tol) if p.degree >= 1 else []
+    croots = tuple((z, m) for z, m, _ in found)
+    residuals = tuple(r for _, _, r in found)
     maxmod = max((abs(z) for z, _ in croots), default=0.0)
     return RootReport(
         degree=p.degree,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
 from .polynomials import (IntPoly, ONE, RatPoly, divide_linear, evaluate,
                           rat_to_int, substitute)
-from .roots import is_real_rooted, rouche_bound
+from .roots import _float_coeffs, _horner2, is_real_rooted, rouche_bound
 
 MAX_WITNESS_EDGES = 5_000_000
 
@@ -329,19 +329,12 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
     fr, fi = eval_at_gaussian(factor, root_re, root_im)
     assert fr == 0 and fi == 0
     prefactor = quadrant_prefactor(triple, "right")
-    residual = _normalized_residual(prefactor, complex(root_re, root_im))
+    residual = abs(_horner2(_float_coeffs(prefactor),
+                            complex(root_re, root_im))[0])
     dist = (root_re - re) ** 2 + (root_im - im) ** 2
     return DensityWitness(a=a, b=b, c=c, scale=scale, triple=triple, graph=g,
                           root=(root_re, root_im), distance_sq=dist,
                           residual=residual)
-
-
-def _normalized_residual(p: IntPoly, z: complex) -> float:
-    scale = max(abs(ci) for ci in p.coeffs)
-    acc = 0j
-    for ci in reversed(p.coeffs):
-        acc = acc * z + float(Fraction(ci, scale))
-    return abs(acc)
 
 
 # -- disk bounding -----------------------------------------------------------------

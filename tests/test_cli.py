@@ -183,6 +183,25 @@ class TestScatter:
         assert err == "error: did not converge\n"
 
 
+class TestFailurePrintsNoPartialOutput:
+    # both commands reach graphs on which the Aberth iteration stops without
+    # converging; every line is computed before any is printed
+
+    def test_roots_failure_prints_nothing(self, capsys):
+        code, out, err = run_cli(
+            ["roots", "--family", "charL", "--enum", "6"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_scatter_failure_prints_header_only(self, capsys):
+        code, out, _ = run_cli(
+            ["scatter", "--family", "edgeCover", "--named", "complete:5"],
+            capsys)
+        assert code == 3
+        assert out == "re,im,modulus,graph6,family\n"
+
+
 class TestStdinSource:
     def test_graph6_stdin(self):
         proc = subprocess.run(

@@ -1,9 +1,12 @@
+import itertools
+from collections import Counter
+
 import pytest
 
-from grpoly.catalog import family_polynomial
-from grpoly.equivalence import (EquivalenceVerdict, dp_compare, dp_transfer,
-                                find_collisions, similarity_classes,
-                                value_partition)
+from grpoly.catalog import FAMILY_NAMES, family_polynomial
+from grpoly.equivalence import (EquivalenceVerdict, WitnessPair, dp_compare,
+                                dp_transfer, find_collisions,
+                                similarity_classes, value_partition)
 from grpoly.graphs import graph_to_graph6, similarity_triple
 from grpoly.polynomials import IntPoly, poly
 from grpoly.simfun import ReductionSpec, verify_prefactor_reduction
@@ -123,6 +126,68 @@ class TestDpCompare:
         for w in obj["witnesses"]:
             assert set(w) == {"class", "g1", "g2", "val1_left", "val2_left",
                               "val1_right", "val2_right"}
+
+
+def _counted(name):
+    calls = Counter()
+
+    def family(g):
+        calls[g] += 1
+        return family_polynomial(name, g)
+
+    family.__name__ = name
+    return family, calls
+
+
+def _transfer_compare(left, right, nmax):
+    """dp_compare's relation and witnesses from dp_transfer, class by class."""
+    left_forces_right = right_forces_left = True
+    witnesses = []
+    for cls in similarity_classes(nmax):
+        if left_forces_right:
+            ok, wit = dp_transfer(right, left, cls)
+            if not ok:
+                left_forces_right = False
+                witnesses.append(WitnessPair(wit.triple, wit.g1, wit.g2,
+                                             wit.right_values,
+                                             wit.left_values))
+        if right_forces_left:
+            ok, wit = dp_transfer(left, right, cls)
+            if not ok:
+                right_forces_left = False
+                witnesses.append(wit)
+    relation = {(True, True): "equivalent",
+                (True, False): "left-refines-right",
+                (False, True): "right-refines-left",
+                (False, False): "incomparable"}[left_forces_right,
+                                                right_forces_left]
+    return relation, [w.to_json_dict() for w in witnesses]
+
+
+class TestDpCompareEvaluations:
+    def test_each_family_once_per_graph(self):
+        left, left_calls = _counted("independence")
+        right, right_calls = _counted("vertexCover")
+        verdict = dp_compare(left, right, 6)
+        assert verdict.relation == "equivalent"  # every class is scanned
+        members = Counter(g for cls in similarity_classes(6)
+                          for g in cls.members)
+        assert left_calls == right_calls == members
+
+    def test_no_graph_evaluated_twice_after_a_failed_direction(self):
+        left, left_calls = _counted("charA")
+        right, right_calls = _counted("charL")
+        assert dp_compare(left, right, 6).relation == "incomparable"
+        assert set(left_calls.values()) == set(right_calls.values()) == {1}
+        assert left_calls == right_calls
+
+    def test_agrees_with_dp_transfer_on_every_pair(self):
+        for left, right in itertools.product(FAMILY_NAMES, repeat=2):
+            verdict = dp_compare(left, right, 5)
+            relation, witnesses = _transfer_compare(left, right, 5)
+            assert verdict.relation == relation, (left, right)
+            assert [w.to_json_dict() for w in verdict.witnesses] == \
+                witnesses, (left, right)
 
 
 class TestTransformConsistency:

@@ -216,6 +216,27 @@ class TestCanonicalForm:
             h = graph(n, [(perm[u], perm[v]) for u, v in g.edges])
             assert canonical_form(g) == canonical_form(h)
 
+    def test_symmetric_graphs_at_the_size_cap(self):
+        # refinement leaves every vertex in one cell made of twin classes; a
+        # search over every ordering of that cell would take minutes
+        k5 = named_graph("complete", 5)
+        shapes = [named_graph("edgeless", 10), named_graph("complete", 10),
+                  named_graph("star", 9),
+                  graph(10, [(u, v) for u in range(5) for v in range(5, 10)]),
+                  disjoint_union(k5, k5)]
+        rng = random.Random(7)
+        keys = []
+        for g in shapes:
+            forms = {canonical_form(g)}
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                forms.add(canonical_form(
+                    graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])))
+            assert len(forms) == 1
+            keys.append(forms.pop())
+        assert len(set(keys)) == len(shapes)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             canonical_form(graph(11))
