@@ -3,23 +3,25 @@
 Every family is computed exactly: characteristic polynomials of the
 adjacency/Laplacian/cycle matrices by Faddeev-LeVerrier over arbitrary
 precision integers, the matching family by the delete/shrink recursion on
-edges, the chromatic polynomial by memoized deletion-contraction, the Tutte
-polynomial by memoized deletion-contraction over parallel-edge bundles, and the
-subset-counting families (independence, clique, vertex cover, domination,
-edge cover) by direct predicate counting.  Family names double as the stable
-CLI/JSON identifiers.
+edges, the Tutte polynomial by memoized deletion-contraction over
+parallel-edge bundles, and the chromatic polynomial and the subset-counting
+families (independence, clique, vertex cover, domination, edge cover) from
+tables over the 2^n vertex subsets, each entry filled from the entry with the
+lowest vertex removed.  Family names double as the stable CLI/JSON identifiers.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import comb
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .graphs import (Graph, canonical_form, complement, connected_components,
-                     graph, induced_subgraph, similarity_triple)
-from .polynomials import IntPoly, MultiPoly, ONE, reverse_coefficients
+from .graphs import Graph, complement, similarity_triple
+from .polynomials import (FALLING, POWER, IntPoly, MultiPoly, convert_basis,
+                          reverse_coefficients)
 
 CHROMATIC_MAX_N = 10
 TUTTE_MAX_N = 9
@@ -58,7 +60,7 @@ def _shortest_cycle_through(g: Graph, u: int, v: int) -> int:
     A shortest proper cycle through the edge is the edge plus a shortest
     u-v path avoiding it, found by BFS in G minus that edge.
     """
-    masks = list(g.adjacency_masks())
+    masks = list(g.masks)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
     dist = {u: 0}
@@ -175,67 +177,33 @@ def matching_poly(g: Graph, variant: str) -> Union[IntPoly, MultiPoly]:
 
 # -- chromatic -------------------------------------------------------------------
 
-_CHROMATIC_CACHE: dict[bytes, tuple[int, ...]] = {}
-
-
-def _falling_factorial_coeffs(n: int) -> tuple[int, ...]:
-    p = ONE
-    for i in range(n):
-        p = p * IntPoly((-i, 1))
-    return p.coeffs
-
-
-def _contract_edge(g: Graph, u: int, v: int) -> Graph:
-    # merge v into u, drop parallel duplicates (harmless for colorings)
-    def relabel(w: int) -> int:
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-
-    edges = set()
-    for a, b in g.edges:
-        if (a, b) == (min(u, v), max(u, v)):
-            continue
-        x, y = relabel(a), relabel(b)
-        if x != y:
-            edges.add((min(x, y), max(x, y)))
-    return graph(g.n - 1, edges)
-
-
-def _chromatic_connected(g: Graph) -> tuple[int, ...]:
-    if g.m == 0:
-        return IntPoly((0, 1)).coeffs if g.n == 1 else tuple(
-            [0] * g.n + [1])
-    if g.m == comb(g.n, 2):
-        return _falling_factorial_coeffs(g.n)
-    key = canonical_form(g)
-    hit = _CHROMATIC_CACHE.get(key)
-    if hit is not None:
-        return hit
-    u, v = min(g.edges)
-    minus = Graph(g.n, g.edges - {(u, v)})
-    deleted = IntPoly(_chromatic(minus))
-    contracted = IntPoly(_chromatic_connected(_contract_edge(g, u, v)))
-    result = (deleted - contracted).coeffs
-    _CHROMATIC_CACHE[key] = result
-    return result
-
-
-def _chromatic(g: Graph) -> tuple[int, ...]:
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return _chromatic_connected(g)
-    acc = ONE
-    for comp in comps:
-        acc = acc * IntPoly(_chromatic_connected(induced_subgraph(g, comp)))
-    return acc.coeffs
-
-
 def chromatic_poly(g: Graph) -> IntPoly:
-    """Proper-coloring counting polynomial by deletion-contraction."""
+    """Proper-coloring counting polynomial from partitions into independent sets.
+
+    The number a_j of partitions of V into j independent sets is the
+    coefficient of X(X-1)...(X-j+1) in P(G; X) (Bjorklund, Husfeldt & Koivisto
+    2009).  parts[s] counts the partitions of the vertex set s: the block that
+    holds the lowest vertex v of s is v plus an independent set t of v's
+    non-neighbours in s, and the rest of s is partitioned on its own.  The
+    counts of one set are packed into one int, a_j in bits 32j..32j+31; each is
+    at most Bell(10) < 2^17, so no slot carries into the next.
+    """
     if g.n > CHROMATIC_MAX_N:
         raise ValueError(f"chromatic_poly supports n <= {CHROMATIC_MAX_N}")
-    return IntPoly(_chromatic(g))
+    indep = _independent_sets(g.masks)
+    parts = [1] * len(indep)  # parts[0] = 1, the empty partition
+    for s in range(1, len(indep)):
+        low = s & -s
+        rest = s ^ low
+        free = rest & ~g.masks[low.bit_length() - 1]
+        total, t = parts[rest], free  # t = 0 is always independent
+        while t:
+            if indep[t]:
+                total += parts[rest ^ t]
+            t = (t - 1) & free
+        parts[s] = total << 32
+    counts = [parts[-1] >> 32 * j & 0xFFFFFFFF for j in range(g.n + 1)]
+    return convert_basis(IntPoly(tuple(counts), FALLING), POWER)
 
 
 # -- Tutte -----------------------------------------------------------------------
@@ -332,49 +300,69 @@ def subset_counting_poly(g: Graph, family: str) -> IntPoly:
 
     The empty set counts per its predicate: it is independent and a clique,
     covers the edges only when there are none, and never dominates or covers
-    the vertices of a nonempty graph.
+    the vertices of a nonempty graph.  Each family reads one table over the
+    2^n vertex subsets, filled in the order of s from the entry for s with its
+    lowest vertex removed.
     """
-    if family == "edgeCover":
-        if g.m > SUBSET_CAP_BITS:
-            raise ValueError(f"edge cover cap is m <= {SUBSET_CAP_BITS}")
-        return _edge_cover_poly(g)
+    if family == "edgeCover" and g.m > SUBSET_CAP_BITS:
+        raise ValueError(f"edge cover cap is m <= {SUBSET_CAP_BITS}")
     if family not in SUBSET_FAMILIES:
         raise ValueError(f"unknown subset family {family!r}")
     if g.n > SUBSET_CAP_BITS:
         raise ValueError(f"subset family cap is n <= {SUBSET_CAP_BITS}")
-    masks = g.adjacency_masks()
+    if family == "edgeCover":
+        return _edge_cover_poly(g)
+    if family == "independence":
+        return IntPoly(_size_counts(g.n, _independent_sets(g.masks)))
+    if family == "clique":
+        return IntPoly(_size_counts(g.n, _independent_sets(complement(g).masks)))
+    if family == "vertexCover":
+        return IntPoly(_size_counts(g.n, _independent_sets(g.masks))[::-1])
+    # domination: closed[s] is the closed neighbourhood N[s]
     full = (1 << g.n) - 1
-    counts = [0] * (g.n + 1)
-    for s in range(1 << g.n):
-        size = bin(s).count("1")
-        if family == "independence":
-            ok = all(not masks[v] & s for v in range(g.n) if s >> v & 1)
-        elif family == "clique":
-            ok = all((masks[v] & s) == s & ~(1 << v)
-                     for v in range(g.n) if s >> v & 1)
-        elif family == "vertexCover":
-            ok = all(s >> u & 1 or s >> v & 1 for u, v in g.edges)
-        else:  # domination
-            ok = all(s >> v & 1 or masks[v] & s for v in range(g.n))
-        if ok:
-            counts[size] += 1
-    return IntPoly(tuple(counts))
+    closed = array("I", [0]) * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        closed[s] = closed[s ^ low] | g.masks[low.bit_length() - 1] | low
+    return IntPoly(_size_counts(g.n, map(full.__eq__, closed)))
+
+
+def _independent_sets(masks: Sequence[int]) -> bytearray:
+    """indep[s] is 1 iff the vertex set s is independent."""
+    indep = bytearray(1 << len(masks))
+    indep[0] = 1
+    for s in range(1, len(indep)):
+        low = s & -s
+        indep[s] = indep[s ^ low] and not masks[low.bit_length() - 1] & s
+    return indep
+
+
+def _size_counts(n: int, table: Iterable) -> tuple[int, ...]:
+    """Counts by size of the vertex sets s whose table[s] is true."""
+    counts = [0] * (n + 1)
+    for s in compress(count(), table):
+        counts[s.bit_count()] += 1
+    return tuple(counts)
 
 
 def _edge_cover_poly(g: Graph) -> IntPoly:
     """Edge covers counted by inclusion-exclusion over missed vertex sets.
 
     Edge sets avoiding a vertex set T are exactly the subsets of the edges
-    induced on V-T, so e_i = sum_T (-1)^|T| C(m(V-T), i).
+    induced on V-T, so e_i = sum_T (-1)^|T| C(m(V-T), i).  inside[s] is the
+    number of edges induced on s = V-T; signed[k] sums (-1)^|T| over the s
+    with k induced edges.
     """
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.sorted_edges()]
-    counts = [0] * (g.m + 1)
-    for t in range(1 << g.n):
-        inside = sum(1 for em in edge_masks if not em & t)
-        sign = -1 if bin(t).count("1") % 2 else 1
-        for i in range(inside + 1):
-            counts[i] += sign * comb(inside, i)
-    return IntPoly(tuple(counts))
+    inside = bytearray(1 << g.n)  # m <= SUBSET_CAP_BITS < 256
+    signed = [0] * (g.m + 1)
+    signed[0] = (-1) ** g.n
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        v = low.bit_length() - 1
+        inside[s] = inside[s ^ low] + (g.masks[v] & s).bit_count()
+        signed[inside[s]] += -1 if (g.n - s.bit_count()) % 2 else 1
+    return IntPoly(tuple(sum(c * comb(k, i) for k, c in enumerate(signed))
+                         for i in range(g.m + 1)))
 
 
 # -- identities -------------------------------------------------------------------

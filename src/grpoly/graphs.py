@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -29,10 +28,17 @@ class Graph6Error(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
+
+    ``masks[v]`` is v's neighbourhood as a bitmask, derived from the edges on
+    first use and then kept; it takes no part in equality, hashing or repr.
+    It is not built at construction: for a path on n vertices it takes n^2/2
+    bits, and a density witness can be such a path on a million vertices.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -47,6 +53,18 @@ class Graph:
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
 
+    def __getattr__(self, name: str):
+        # reached only while the masks field is unset
+        if name != "masks":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "masks", tuple(masks))
+        return self.masks
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -54,11 +72,8 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return _adj_masks(self.n, self.edges)
-
     def degree(self, v: int) -> int:
-        return bin(self.adjacency_masks()[v]).count("1")
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -66,15 +81,6 @@ class Graph:
 
 def graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, frozenset(tuple(e) for e in edges))
-
-
-@lru_cache(maxsize=200000)
-def _adj_masks(n: int, edges: frozenset) -> tuple[int, ...]:
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
 
 
 # -- similarity triples -------------------------------------------------------
@@ -151,14 +157,6 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     shifted = {(u + a.n, v + a.n) for u, v in b.edges}
     return Graph(a.n + b.n, frozenset(a.edges | shifted))
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabeled to 0..len-1 in sorted order."""
-    vs = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return graph(len(vs), edges)
 
 
 def named_graph(family: str, size: int) -> Graph:
@@ -262,7 +260,7 @@ def _g6_size_bytes(n: int) -> bytes:
 
 
 def graph_to_graph6(g: Graph) -> str:
-    masks = g.adjacency_masks()
+    masks = g.masks
     bits = []
     for j in range(1, g.n):
         col = masks[j]
@@ -411,7 +409,7 @@ def canonical_form(g: Graph) -> bytes:
     """Isomorphism-complete canonical key for graphs with n <= 10."""
     if g.n > MAX_CANON_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_N}")
-    bits = _canon_bits(g.n, g.adjacency_masks())
+    bits = _canon_bits(g.n, g.masks)
     packed = bytearray([g.n])
     for i in range(0, len(bits), 8):
         byte = 0
@@ -460,8 +458,7 @@ def _enumerate_classes(n: int) -> list[Graph]:
     if n == 1:
         keys = {()}  # the one-vertex graph has no adjacency bits
     else:
-        keys = _augment([g.adjacency_masks() for g in _enumerate_classes(n - 1)],
-                        n)
+        keys = _augment([g.masks for g in _enumerate_classes(n - 1)], n)
     graphs = sorted((_canon_graph(n, bits) for bits in keys),
                     key=lambda g: (g.m, graph_to_graph6(g)))
     _ENUM_CACHE[n] = graphs

@@ -202,13 +202,14 @@ def convert_basis(p: IntPoly, target: str) -> IntPoly:
     if d < 0:
         return IntPoly((), target)
 
-    # work through the falling basis as the hub
-    def to_falling(q: IntPoly) -> list[Fraction]:
+    # work through the falling basis as the hub; only the binomial basis
+    # divides, so the other two stay in ints
+    def to_falling(q: IntPoly) -> list[int | Fraction]:
         if q.basis == FALLING:
-            return [Fraction(c) for c in q.coeffs]
+            return list(q.coeffs)
         if q.basis == POWER:
             s2 = _stirling2(q.degree)
-            out = [Fraction(0)] * (q.degree + 1)
+            out = [0] * (q.degree + 1)
             for i, c in enumerate(q.coeffs):
                 for k in range(i + 1):
                     out[k] += c * s2[i][k]
@@ -234,7 +235,7 @@ def convert_basis(p: IntPoly, target: str) -> IntPoly:
             result.append(b * fact)
     else:  # power
         s1 = _stirling1_signed(d)
-        result = [Fraction(0)] * (d + 1)
+        result = [0] * (d + 1)
         for i, b in enumerate(falling):
             for k in range(i + 1):
                 result[k] += b * s1[i][k]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -39,13 +40,15 @@ class TransformRecord:
     inverse_data: dict
 
     def to_json(self) -> str:
+        # str(Decimal(c)) is exact and equals str(c), but is not subject to
+        # the interpreter's limit on int-to-str digits (4300 by default)
         return json.dumps({
             "transform": self.transform,
             "params": {k: str(v) for k, v in self.params.items()},
             "input": {"basis": self.input.basis,
-                      "coeffs": [str(c) for c in self.input.coeffs]},
+                      "coeffs": [str(Decimal(c)) for c in self.input.coeffs]},
             "output": {"basis": self.output.basis,
-                       "coeffs": [str(c) for c in self.output.coeffs]},
+                       "coeffs": [str(Decimal(c)) for c in self.output.coeffs]},
             "inverse_data": {k: str(v) for k, v in self.inverse_data.items()},
         })
 

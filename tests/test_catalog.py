@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from grpoly.catalog import (adjacency_matrix, catalog_identities, char_poly,
 from grpoly.graphs import (complement, disjoint_union, enumerate_graphs,
                            graph, named_graph, similarity_triple,
                            tree_shapes_by_prufer)
-from grpoly.polynomials import IntPoly, evaluate, poly, substitute
+from grpoly.polynomials import IntPoly, evaluate, from_roots, poly, substitute
 from grpoly.roots import integer_roots
 from oracles import (char_poly_oracle, edge_cover_counts_brute,
                      matching_counts_brute, proper_coloring_count,
@@ -184,6 +185,15 @@ class TestChromatic:
         with pytest.raises(ValueError):
             chromatic_poly(graph(11))
 
+    @pytest.mark.parametrize("name, expected", [
+        ("edgeless", from_roots([(0, 10)])),
+        ("complete", from_roots([(i, 1) for i in range(10)])),
+        ("path", from_roots([(0, 1), (1, 9)])),
+        ("cycle", from_roots([(1, 10)]) + from_roots([(1, 1)])),
+    ])
+    def test_closed_forms_at_the_cap(self, name, expected):
+        assert chromatic_poly(named_graph(name, 10)) == expected
+
 
 class TestTutte:
     def test_k3(self):
@@ -211,7 +221,7 @@ class TestTutte:
 
     def test_chromatic_specialization(self):
         # P(G; L) = (-1)^(n-k) L^k T(G; 1-L, 0)
-        for n in range(1, 7):
+        for n in range(1, 8):
             for g in enumerate_graphs(n):
                 k = similarity_triple(g).k
                 at_y0 = {i: c for (i, j), c in tutte_poly(g).terms if j == 0}
@@ -279,6 +289,46 @@ class TestSubsetFamilies:
 
     def test_vertex_cover_c4(self):
         assert subset_counting_poly(C4, "vertexCover") == poly(0, 0, 2, 4, 1)
+
+    def test_edge_cover_vertex_cap(self):
+        # few edges but 2^n vertex subsets: refused before any table is built
+        with pytest.raises(ValueError, match="subset family cap is n <= 24"):
+            subset_counting_poly(graph(40), "edgeCover")
+        with pytest.raises(ValueError, match="edge cover cap is m <= 24"):
+            subset_counting_poly(named_graph("complete", 8), "edgeCover")
+
+    def test_independence_and_clique_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g()[1:]:  # every graph with 1 <= n <= 7
+            g = graph(h.number_of_nodes(), h.edges())
+            for family, source in (("independence", nx.complement(h)),
+                                   ("clique", h)):
+                counts = [1] + [0] * g.n  # the empty set
+                for c in nx.enumerate_all_cliques(source):
+                    counts[len(c)] += 1
+                assert subset_counting_poly(g, family) == \
+                    IntPoly(tuple(counts)), (family, g)
+
+    def test_vertex_cover_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g()[1:]:
+            g = graph(h.number_of_nodes(), h.edges())
+            counts = [0] * g.n + [1]  # V is the complement of the empty set
+            for c in nx.enumerate_all_cliques(nx.complement(h)):
+                counts[g.n - len(c)] += 1
+            assert subset_counting_poly(g, "vertexCover") == \
+                IntPoly(tuple(counts)), g
+
+    def test_domination_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g()[1:209]:  # every graph with 1 <= n <= 6
+            g = graph(h.number_of_nodes(), h.edges())
+            counts = [0] * (g.n + 1)
+            for k in range(g.n + 1):
+                for s in itertools.combinations(range(g.n), k):
+                    counts[k] += nx.is_dominating_set(h, s)
+            assert subset_counting_poly(g, "domination") == \
+                IntPoly(tuple(counts)), g
 
     def test_empty_set_conventions(self):
         g = graph(3)  # edgeless

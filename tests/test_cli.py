@@ -49,6 +49,14 @@ class TestPoly:
         assert code == 2
         assert "unknown family" in err
 
+    def test_edge_cover_vertex_cap_exits_two(self, capsys):
+        code, out, err = run_cli(
+            ["poly", "--family", "edgeCover", "--named", "edgeless:40"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "subset family cap is n <= 24" in err
+
 
 class TestEnum:
     def test_eleven_graphs_on_four_vertices(self, capsys):

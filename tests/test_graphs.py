@@ -37,6 +37,15 @@ class TestGraphValue:
         g = graph(3, [(2, 0)])
         assert g.edges == frozenset({(0, 2)})
 
+    def test_masks_field(self):
+        g = graph(4, [(2, 0), (0, 1)])
+        assert g.masks == (0b0110, 0b0001, 0b0001, 0)
+        assert [g.degree(v) for v in range(4)] == [2, 1, 1, 0]
+        # derived data: equality, hashing and repr stay on (n, edges)
+        h = Graph(4, frozenset({(0, 1), (0, 2)}))
+        assert g == h and hash(g) == hash(h)
+        assert "masks" not in repr(g)
+
 
 class TestGraph6:
     def test_k2(self):

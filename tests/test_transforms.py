@@ -1,4 +1,6 @@
+import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from grpoly.graphs import SimilarityTriple, enumerate_graphs, named_graph, \
 from grpoly.polynomials import IntPoly, evaluate, poly, rat_evaluate
 from grpoly.roots import (complex_roots, integer_roots, is_real_rooted,
                           max_root_modulus, sign_profile, sturm_count)
-from grpoly.transforms import (DensityCapError, apply_named_transform,
+from grpoly.transforms import (DensityCapError, TransformRecord,
+                               apply_named_transform,
                                deinterleave, dense_real_prefactor, densify,
                                density_witness, eval_at_gaussian,
                                interleave_nonneg, negate_variable,
@@ -339,6 +342,25 @@ class TestNamedRegistry:
         rec = apply_named_transform("interleave", poly(2, -1))
         assert rec.output == poly(2, 0, 0, 1)
         assert '"transform": "interleave"' in rec.to_json()
+
+    def test_small_record_json_bytes(self):
+        rec = apply_named_transform("realify", poly(1, 2))
+        assert rec.to_json() == (
+            '{"transform": "realify", "params": {"s": "1"}, '
+            '"input": {"basis": "power", "coeffs": ["1", "2"]}, '
+            '"output": {"basis": "power", '
+            '"coeffs": ["0", "0", "-1", "3", "-3", "1"]}, '
+            '"inverse_data": {"s": "1", "inverse": "recover-coefficients"}}')
+        rec = apply_named_transform("interleave", poly(-3, 0, 5))
+        assert json.loads(rec.to_json())["output"]["coeffs"] == \
+            ["0", "3", "0", "0", "5"]
+
+    def test_record_json_beyond_int_str_digit_limit(self):
+        big = 7 ** 20000  # 16,902 digits, past the default 4,300-digit limit
+        rec = TransformRecord("interleave", {}, poly(-big), poly(0, big), {})
+        obj = json.loads(rec.to_json())
+        assert obj["input"]["coeffs"] == [str(Decimal(-big))]
+        assert obj["output"]["coeffs"] == ["0", str(Decimal(big))]
 
     def test_realify_default_s(self):
         rec = apply_named_transform("realify", poly(1, 2))
