@@ -334,22 +334,34 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # refinement is discrete (almost all of them) skip the search entirely.
 
 def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
-    color = [0] * n
+    """Equitable partition of the vertices, as cells in signature order.
+
+    Each round splits the non-singleton cells (bitmasks) by their vertices'
+    neighbour counts per cell, ordered as the sorted neighbour-colour tuples
+    (a colour is a cell's position) those counts expand to, until none splits.
+    """
+    cells = [(1 << n) - 1]
     while True:
-        sigs = []
-        for v in range(n):
-            row = masks[v]
-            nb = sorted(color[u] for u in range(n) if row >> u & 1)
-            sigs.append((color[v], tuple(nb)))
-        order = sorted(set(sigs))
-        newcolor = [order.index(s) for s in sigs]
-        if newcolor == color:
+        split = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = masks[low.bit_length() - 1]
+                key = tuple([(row & c).bit_count() for c in cells])
+                parts[key] = parts.get(key, 0) | low
+                rest ^= low
+            split.extend(parts[key] for key in sorted(
+                parts, key=lambda counts: tuple(
+                    c for c, k in enumerate(counts) for _ in range(k))))
+        if len(split) == len(cells):
             break
-        color = newcolor
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(color[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells = split
+    return [[v for v in range(n) if cell >> v & 1] for cell in cells]
 
 
 def _canon_bits(n: int, masks: Sequence[int]) -> tuple[int, ...]:
@@ -435,19 +447,37 @@ def _canon_graph(n: int, bits: tuple[int, ...]) -> Graph:
 # Every graph on n vertices is an (n-1)-vertex graph plus one vertex joined to
 # some subset of it, so extending one representative per (n-1)-class by every
 # neighborhood reaches every n-class; the canonical key keeps one of each.
+# Only extensions whose new vertex maximizes (degree, sum of neighbour
+# degrees) over the extended graph reach the canonical form (the cheap
+# invariant test of McKay's canonical augmentation).  Every class still
+# arrives: delete a maximizing vertex v of any n-graph, and the
+# representative of what is left, extended by the image of v's neighbours,
+# is isomorphic to it with the new vertex in v's place.
 
 _ENUM_CACHE: dict[int, list[Graph]] = {}
 
 
 def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """Canonical keys of every one-vertex extension of the (n-1)-vertex masks."""
+    """Canonical keys of the one-vertex extensions of the (n-1)-vertex masks.
+
+    An extension is kept only if its new vertex maximizes (degree, sum of
+    neighbour degrees) among all n vertices; some vertex of every graph does,
+    so the keys still cover every n-class.
+    """
     keys: set[tuple[int, ...]] = set()
     new_bit = 1 << (n - 1)
     for adj in reps:
         for nb in range(1 << (n - 1)):
-            ext = [adj[i] | (new_bit if nb >> i & 1 else 0)
-                   for i in range(n - 1)]
+            ext = [row | new_bit if nb >> i & 1 else row
+                   for i, row in enumerate(adj)]
             ext.append(nb)
+            deg = [row.bit_count() for row in ext]
+            if max(deg) > deg[-1]:
+                continue
+            around = [sum(deg[u] for u in range(n) if row >> u & 1)
+                      if deg[v] == deg[-1] else 0 for v, row in enumerate(ext)]
+            if max(around) > around[-1]:
+                continue
             keys.add(_canon_bits(n, ext))
     return keys
 

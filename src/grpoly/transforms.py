@@ -42,14 +42,17 @@ class TransformRecord:
     def to_json(self) -> str:
         # str(Decimal(c)) is exact and equals str(c), but is not subject to
         # the interpreter's limit on int-to-str digits (4300 by default)
+        def text(v) -> str:
+            return str(Decimal(v)) if isinstance(v, int) else str(v)
+
         return json.dumps({
             "transform": self.transform,
-            "params": {k: str(v) for k, v in self.params.items()},
+            "params": {k: text(v) for k, v in self.params.items()},
             "input": {"basis": self.input.basis,
-                      "coeffs": [str(Decimal(c)) for c in self.input.coeffs]},
+                      "coeffs": [text(c) for c in self.input.coeffs]},
             "output": {"basis": self.output.basis,
-                       "coeffs": [str(Decimal(c)) for c in self.output.coeffs]},
-            "inverse_data": {k: str(v) for k, v in self.inverse_data.items()},
+                       "coeffs": [text(c) for c in self.output.coeffs]},
+            "inverse_data": {k: text(v) for k, v in self.inverse_data.items()},
         })
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinants by fraction Gaussian elimination,
 isomorphism by permutation search, colorings/matchings/covers by direct
 subset enumeration, class counts by the orbit-counting formula, tree shapes
-by decoding every Prüfer sequence.
+by decoding every Prüfer sequence, colour refinement by sorted signature
+tuples.
 """
 
 from fractions import Fraction
@@ -75,6 +76,31 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
                for u, v in a.edges) :
             return True
     return False
+
+
+def refine_cells_reference(n: int, masks) -> list[list[int]]:
+    """Colour refinement on sorted tuples; the reference for ``_refine_cells``.
+
+    Each round a vertex's signature is its colour and the sorted tuple of its
+    neighbours' colours; the new colour is the signature's rank.  Stops when a
+    round changes no colour; cells come in colour order.
+    """
+    color = [0] * n
+    while True:
+        sigs = []
+        for v in range(n):
+            row = masks[v]
+            nb = sorted(color[u] for u in range(n) if row >> u & 1)
+            sigs.append((color[v], tuple(nb)))
+        order = sorted(set(sigs))
+        newcolor = [order.index(s) for s in sigs]
+        if newcolor == color:
+            break
+        color = newcolor
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(color[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
 
 
 def labeled_class_count(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Exact checks of two cited root-location theorems on every graph, n <= 7.
+"""Exact checks of two cited root-location theorems on every graph, n <= 8.
 
 Both claims are statements about real roots, so the exact layer decides them
 with no numerics: half-open Sturm counts over (a, b] plus the exact integer
@@ -14,7 +14,7 @@ from grpoly.catalog import chromatic_poly, subset_counting_poly
 from grpoly.graphs import Graph, enumerate_graphs, graph_to_graph6
 from grpoly.roots import integer_roots, is_real_rooted, sturm_count
 
-GRAPHS = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+GRAPHS = [g for n in range(1, 9) for g in enumerate_graphs(n)]
 
 
 def has_claw(g: Graph) -> bool:
@@ -37,14 +37,16 @@ def test_jackson_chromatic_zero_free_intervals():
         if sturm_count(p, (-inf, Fraction(32, 27))) != allowed:
             violations.append(graph_to_graph6(g))
     print(f"Jackson 1993: {len(violations)} violations on {len(GRAPHS)} "
-          f"graphs with n <= 7 {violations}")
-    assert len(GRAPHS) == 1252
+          f"graphs with n <= 8 {violations}")
+    assert len(GRAPHS) == 13598
     assert violations == []
 
 
 def test_chudnovsky_seymour_claw_free_real_rooted():
     # Chudnovsky & Seymour 2007: claw-free => independence polynomial
     # real-rooted.  The converse fails, so graphs with a claw are counted too.
+    # 1,715 claw-free graphs with n <= 8 (OEIS A022562: 1, 2, 4, 10, 26, 85,
+    # 302, 1285).
     claw_free, clawed = [], []
     for g in GRAPHS:
         real = is_real_rooted(subset_counting_poly(g, "independence"))
@@ -55,4 +57,4 @@ def test_chudnovsky_seymour_claw_free_real_rooted():
           f"{len(claw_free)} claw-free graphs real-rooted {bad}; "
           f"{clawed_real} of {len(clawed)} graphs with a claw real-rooted")
     assert bad == []
-    assert (len(claw_free), len(clawed), clawed_real) == (430, 822, 523)
+    assert (len(claw_free), len(clawed), clawed_real) == (1715, 11883, 8124)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from grpoly.graphs import (Graph, Graph6Error, build_graph_with_parameters,
+from grpoly.cli import main
+from grpoly.graphs import (Graph, Graph6Error, _refine_cells,
+                           build_graph_with_parameters,
                            canonical_form, complement, connected_components,
                            disjoint_union, enumerate_graphs, graph,
                            graph_from_graph6, graph_to_graph6, named_graph,
                            similarity_triple, tree_from_prufer,
                            tree_shapes_by_prufer, SimilarityTriple)
 from oracles import (brute_isomorphic, orbit_counting_classes,
-                     prufer_decode_reference, prufer_tree_shapes, tree_code)
+                     prufer_decode_reference, prufer_tree_shapes,
+                     refine_cells_reference, tree_code)
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
@@ -251,6 +255,29 @@ class TestCanonicalForm:
             canonical_form(graph(11))
 
 
+class TestRefinement:
+    def test_matches_reference_on_relabeled_classes(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    masks = graph(n, [(perm[u], perm[v])
+                                      for u, v in g.edges]).masks
+                    assert _refine_cells(n, masks) == \
+                        refine_cells_reference(n, masks)
+
+    def test_matches_reference_on_n8_extensions(self):
+        # every 4th neighbourhood of each n = 7 class, offset by class index
+        for r, g in enumerate(enumerate_graphs(7)):
+            for nb in range(r % 4, 1 << 7, 4):
+                masks = [row | 1 << 7 if nb >> i & 1 else row
+                         for i, row in enumerate(g.masks)] + [nb]
+                assert _refine_cells(8, masks) == \
+                    refine_cells_reference(8, masks)
+
+
 class TestEnumeration:
     def test_counts_small(self):
         assert [len(enumerate_graphs(n)) for n in range(1, 7)] == \
@@ -285,6 +312,27 @@ class TestEnumeration:
         a = [graph_to_graph6(g) for g in enumerate_graphs(5)]
         b = [graph_to_graph6(g) for g in enumerate_graphs(5)]
         assert a == b
+
+    def test_edge_count_distribution_n8(self):
+        # OEIS A008406, row 8: classes on 8 vertices by edge count
+        counts = [0] * 29
+        for g in enumerate_graphs(8):
+            counts[g.m] += 1
+        assert counts == [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980,
+                          1312, 1557, 1646, 1557, 1312, 980, 663, 402, 221,
+                          115, 56, 24, 11, 5, 2, 1, 1]
+        assert sum(counts) == 12346
+
+    def test_pairwise_distinct_canonical_forms_n8(self):
+        forms = {canonical_form(g) for g in enumerate_graphs(8)}
+        assert len(forms) == 12346
+
+    def test_enum_n8_stdout_digest(self, capsys):
+        # graph6 lines of every class, in the documented order
+        assert main(["enum", "--n", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "708124448e3a9d661789e4a0d627160acd843c496fb58d285e3a3aeb3a26a4ee"
 
     def test_matches_networkx_atlas(self):
         # the atlas lists every graph with n <= 7, one per class

@@ -362,6 +362,14 @@ class TestNamedRegistry:
         assert obj["input"]["coeffs"] == [str(Decimal(-big))]
         assert obj["output"]["coeffs"] == ["0", str(Decimal(big))]
 
+    def test_record_json_int_params_beyond_int_str_digit_limit(self):
+        # the default rouche scale A is the largest lower coefficient
+        big = 7 ** 20000
+        obj = json.loads(apply_named_transform("rouche", poly(big, 1)).to_json())
+        assert Decimal(obj["params"]["A"]) == big
+        assert Decimal(obj["inverse_data"]["A"]) == big
+        assert obj["inverse_data"]["inverse"] == "X -> X/A"
+
     def test_realify_default_s(self):
         rec = apply_named_transform("realify", poly(1, 2))
         assert rec.params["s"] == 1
