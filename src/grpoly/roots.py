@@ -5,9 +5,12 @@ from primitive pseudo-remainder sequences and divides exactly (by Gauss's
 lemma a primitive divisor leaves an integer quotient), and real-rootedness is
 certified by an integer Sturm chain of the squarefree part; zero roots come
 from the valuation, never from numerics.  Complex roots are numeric only:
-Aberth-Ehrlich iteration per squarefree factor, so multiplicities are exact
-while positions carry a residual tolerance.  ``root_report`` makes one exact
-pass and reads every exact field off it.
+Aberth-Ehrlich iteration per Yun factor, each root frozen once its residual
+reaches rounding level, so multiplicities are exact while positions carry a
+checked backward error.  Every result is certified: the Weierstrass inclusion
+disks of each factor are pairwise disjoint, and as many meet the real axis as
+the Sturm chain counts real roots, or RootFindingError is raised.
+``root_report`` makes one exact pass and reads every exact field off it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, inf
+from math import gcd, inf, prod
 
 from .polynomials import POWER, IntPoly, convert_basis, divide_linear
 
@@ -323,23 +326,40 @@ def _horner2(coeffs: list[float], z: complex) -> tuple[complex, complex]:
     return acc, dacc
 
 
-def _aberth(coeffs: list[float]) -> list[complex]:
-    """Aberth-Ehrlich simultaneous iteration on a squarefree polynomial."""
+def _aberth(coeffs: list[float]) -> tuple[list[complex], list[float]]:
+    """Aberth-Ehrlich simultaneous iteration on a squarefree polynomial.
+
+    A root is frozen once |p(z)| <= 4 d eps sum_i |a_i||z|^i, the rounding
+    level of its Horner evaluation (Bini 1996); each sweep moves only the
+    roots still active, and the iteration ends when none are left.  Returns
+    the roots and, per root, |p(z)| plus that rounding level.
+    """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1]) if d else 1.0
     zs = [radius * 0.8 * cmath.exp(2j * cmath.pi * (k + 0.353) / d)
           for k in range(d)]
+    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    level = 4 * d * 2.0 ** -53
+    errs = [0.0] * d
+    active = range(d)
     for _ in range(ABERTH_MAX_ITER):
-        max_step = 0.0
-        for k in range(d):
+        moved = []
+        for k in active:
             z = zs[k]
-            pv, dv = _horner2(coeffs, z)
-            if pv == 0:
+            r = abs(z)
+            pv = dv = 0j
+            bound = 0.0
+            for c, m in terms:  # p(z), p'(z) and sum_i |a_i||z|^i
+                dv = dv * z + pv
+                pv = pv * z + c
+                bound = bound * r + m
+            if abs(pv) <= level * bound:
+                errs[k] = abs(pv) + level * bound
                 continue
+            moved.append(k)
             if dv == 0:
-                zs[k] = z + 1e-8 * (1 + abs(z))
-                max_step = inf
+                zs[k] = z + 1e-8 * (1 + r)
                 continue
             w = pv / dv
             s = 0j
@@ -350,18 +370,35 @@ def _aberth(coeffs: list[float]) -> list[complex]:
                         diff = 1e-12
                     s += 1 / diff
             denom = 1 - w * s
-            if denom == 0:
-                step = w
-            else:
-                step = w / denom
-            zs[k] = z - step
-            rel = abs(step) / (1 + abs(zs[k]))
-            if rel > max_step:
-                max_step = rel
-        if max_step < 1e-14:
-            return zs
+            zs[k] = z - (w if denom == 0 else w / denom)
+        if not moved:
+            return zs, errs
+        active = moved
     raise RootFindingError(
         f"Aberth iteration did not converge in {ABERTH_MAX_ITER} steps")
+
+
+def _real_disks(lead: float, zs: list[complex], errs: list[float]) -> int:
+    """Number of Weierstrass inclusion disks of zs that meet the real axis.
+
+    The disk around z_k has radius d |p(z_k)| / |a_d prod_(j!=k) (z_k - z_j)|,
+    with errs[k] >= |p(z_k)|.  Pairwise disjoint disks hold one root each
+    (Carstensen 1991); overlapping ones raise RootFindingError.
+    """
+    radii = []
+    for k, z in enumerate(zs):
+        gap = abs(prod((z - w for w in zs[:k] + zs[k + 1:]), start=lead))
+        radii.append(len(zs) * errs[k] / gap if gap else inf)
+    if any(abs(zs[k] - zs[j]) <= radii[k] + radii[j]
+           for k in range(len(zs)) for j in range(k)):
+        raise RootFindingError("inclusion disks of two roots overlap")
+    return sum(1 for z, r in zip(zs, radii) if abs(z.imag) <= r)
+
+
+def _residual(norm: list[float], z: complex) -> float:
+    value = abs(_horner2(norm, z)[0])
+    scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(norm))
+    return value / scale if scale else value
 
 
 def backward_error(p: IntPoly, z: complex) -> float:
@@ -369,40 +406,47 @@ def backward_error(p: IntPoly, z: complex) -> float:
 
     The c_i are power-basis coefficients; other bases are converted first.
     """
-    norm = _float_coeffs(convert_basis(p, POWER))
-    value = abs(_horner2(norm, z)[0])
-    scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(norm))
-    return value / scale if scale else value
+    return _residual(_float_coeffs(convert_basis(p, POWER)), z)
 
 
 def complex_roots(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL
                   ) -> list[tuple[complex, int]]:
     """Numeric roots with exact multiplicities, degree-many in total.
 
-    Returns (root, multiplicity) pairs sorted by (real, imag).  Each root's
-    backward error is verified against ``tol``; non-convergence raises
-    instead of returning bad data.
+    Returns (root, multiplicity) pairs sorted by (real, imag).  The roots
+    are certified as in ``root_report``; a failure raises instead of
+    returning bad data.
     """
     _require_nonzero(p)
     if p.degree < 1:
         raise ValueError("complex_roots needs degree >= 1")
     p = convert_basis(p, POWER)
-    val, _, _, factors = _squarefree(p)
-    return [(z, m) for z, m, _ in _complex_roots(p, val, factors, tol)]
+    val, _, sf, factors = _squarefree(p)
+    neg, _, pos = _profile(_sturm(sf), 1 if val else 0)
+    return [(z, m) for z, m, _ in _complex_roots(p, val, factors, tol,
+                                                  neg + pos)]
 
 
-def _complex_roots(p: IntPoly, val: int, factors: list, tol: float
-                   ) -> list[tuple[complex, int, float]]:
-    """(root, multiplicity, backward error) triples sorted by root."""
+def _complex_roots(p: IntPoly, val: int, factors: list, tol: float,
+                   real: int) -> list[tuple[complex, int, float]]:
+    """(root, multiplicity, backward error) triples sorted by root, certified
+    against ``tol`` and the Sturm count ``real`` of nonzero real roots."""
     # p(0) = 0 exactly, so a zero root's backward error is 0.0
     found: list[tuple[complex, int, float]] = [(0j, val, 0.0)] if val else []
+    norm = _float_coeffs(p)
     for factor, mult in factors:
-        for z in _aberth(_float_coeffs(IntPoly(factor))):
-            residual = backward_error(p, z)
+        coeffs = _float_coeffs(IntPoly(factor))
+        zs, errs = _aberth(coeffs)
+        real -= _real_disks(coeffs[-1], zs, errs)
+        for z in zs:
+            residual = _residual(norm, z)
             if residual > tol:
                 raise RootFindingError(
                     f"root {z} has backward error {residual:.3e} > tol")
             found.append((z, mult, residual))
+    if real:
+        raise RootFindingError("inclusion disks on the real axis disagree "
+                               "with the Sturm count")
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     total = sum(m for _, m, _ in found)
     assert total == p.degree, (total, p.degree)
@@ -476,7 +520,8 @@ def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
     val, deflated, sf, factors = _squarefree(p)
     chain = _sturm(sf)
     neg, zero, pos = _profile(chain, 1 if val else 0)
-    found = _complex_roots(p, val, factors, tol) if p.degree >= 1 else []
+    found = (_complex_roots(p, val, factors, tol, neg + pos)
+             if p.degree >= 1 else [])
     croots = tuple((z, m) for z, m, _ in found)
     residuals = tuple(r for _, _, r in found)
     maxmod = max((abs(z) for z, _ in croots), default=0.0)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from grpoly import roots
+from grpoly import cli, roots
 from grpoly.cli import main
 
 
@@ -191,21 +191,44 @@ class TestScatter:
         assert err == "error: did not converge\n"
 
 
-class TestFailurePrintsNoPartialOutput:
-    # both commands reach graphs on which the Aberth iteration stops without
-    # converging; every line is computed before any is printed
+def fail_after_first_result(monkeypatch, name):
+    """Make cli.<name> raise RootFindingError once it has returned a result.
 
-    def test_roots_failure_prints_nothing(self, capsys):
+    Returns the list of results computed before the failure.
+    """
+    real = getattr(cli, name)
+    computed = []
+
+    def wrapper(*args, **kwargs):
+        if computed:
+            raise roots.RootFindingError("injected failure")
+        out = real(*args, **kwargs)
+        if out:
+            computed.append(out)
+        return out
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return computed
+
+
+class TestFailurePrintsNoPartialOutput:
+    # a failure after the first computed line; every line is computed before
+    # any is printed
+
+    def test_roots_failure_prints_nothing(self, capsys, monkeypatch):
+        computed = fail_after_first_result(monkeypatch, "root_report")
         code, out, err = run_cli(
             ["roots", "--family", "charL", "--enum", "6"], capsys)
+        assert computed
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == "error: injected failure\n"
 
-    def test_scatter_failure_prints_header_only(self, capsys):
+    def test_scatter_failure_prints_header_only(self, capsys, monkeypatch):
+        computed = fail_after_first_result(monkeypatch, "scatter_rows")
         code, out, _ = run_cli(
-            ["scatter", "--family", "edgeCover", "--named", "complete:5"],
-            capsys)
+            ["scatter", "--family", "edgeCover", "--enum", "4"], capsys)
+        assert computed
         assert code == 3
         assert out == "re,im,modulus,graph6,family\n"
 

@@ -1,15 +1,22 @@
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from grpoly import roots
 from grpoly.catalog import FAMILY_ARITY, FAMILY_NAMES, char_poly, \
     chromatic_poly, family_polynomial, matching_poly, subset_counting_poly
-from grpoly.graphs import enumerate_graphs, named_graph
+from grpoly.graphs import (enumerate_graphs, graph_from_graph6,
+                           graph_to_graph6, named_graph)
 from grpoly.polynomials import BINOMIAL, FALLING, IntPoly, convert_basis, \
     from_roots, poly
 from grpoly.roots import (RootFindingError, ZeroPolynomialError,
@@ -229,6 +236,10 @@ def _catalog_polys(graphs):
                 yield p
 
 
+def _graphs_up_to(nmax):
+    return [g for n in range(1, nmax + 1) for g in enumerate_graphs(n)]
+
+
 def _oracle_graphs():
     """Every graph with n <= 5, plus every 10th graph with n = 6."""
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
@@ -336,15 +347,156 @@ class TestReportMatchesPublicApi:
     def test_catalog_sample(self):
         graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
         for p in _catalog_polys(graphs):
-            try:
-                rep = root_report(p)
-            except RootFindingError:
-                with pytest.raises(RootFindingError):
-                    complex_roots(p)
-                continue
+            rep = root_report(p)
             assert (rep.negative_real, rep.zero_root, rep.positive_real) == \
                 sign_profile(p)
             assert rep.real_rooted == is_real_rooted(p)
             assert rep.integer_roots == integer_roots(p)
             assert rep.complex_roots == \
                 (tuple(complex_roots(p)) if p.degree >= 1 else ())
+
+
+# -- certified numeric roots ---------------------------------------------------
+
+def _disks(p: IntPoly, croots) -> tuple[bool, int, list[float]]:
+    """(pairwise disjoint, number meeting the real axis, radii) of the
+    Weierstrass inclusion disks of the distinct roots, recomputed on the
+    squarefree part.
+
+    |sf(z)| is evaluated by mpmath at 60 digits, far below its rounding
+    level in floats; only the products of root differences are in floats.
+    """
+    sf = list(squarefree_part(p).coeffs)
+    zs = [z for z, _ in croots]
+    d = len(zs)
+    assert d == len(sf) - 1
+    with mpmath.workdps(60):
+        values = [float(abs(mpmath.polyval(sf[::-1], mpmath.mpc(z))))
+                  for z in zs]
+    radii = []
+    for k, z in enumerate(zs):
+        gap = abs(math.prod((z - w for w in zs[:k] + zs[k + 1:]),
+                            start=sf[-1]))
+        radii.append(d * values[k] / gap if gap else inf)
+    disjoint = all(abs(zs[k] - zs[j]) > radii[k] + radii[j]
+                   for k in range(d) for j in range(k))
+    return disjoint, sum(1 for z, r in zip(zs, radii) if abs(z.imag) <= r), \
+        radii
+
+
+def _assert_certified(p: IntPoly, where: str):
+    rep = root_report(p)
+    assert sum(m for _, m in rep.complex_roots) == p.degree, where
+    if p.degree < 1:
+        return
+    disjoint, real, _ = _disks(p, rep.complex_roots)
+    assert disjoint, where
+    assert real == rep.negative_real + rep.zero_root + rep.positive_real, \
+        where
+
+
+# the nine n <= 6 edge-cover graphs, one charL, one charCycle and one
+# chromatic polynomial on which an Aberth stop rule below the rounding level
+# of the evaluation never converged
+REGRESSION = [(g6, "edgeCover") for g6 in ("D~{", "EF~w", "EJ~w", "EL~w",
+                                           "Er^w", "EN~w", "E]~w", "E^~w",
+                                           "E~~w")] + \
+    [("EIMw", "charL"), ("F?AZo", "charCycle"), ("E~~w", "chromatic")]
+
+
+class TestCertifiedRoots:
+    @pytest.mark.parametrize("g6,family", REGRESSION)
+    def test_regression_corpus(self, g6, family):
+        _assert_certified(family_polynomial(family, graph_from_graph6(g6)),
+                          f"{g6} {family}")
+
+    def test_k6_chromatic_integer_roots(self):
+        rep = root_report(family_polynomial("chromatic",
+                                            graph_from_graph6("E~~w")))
+        assert rep.integer_roots == {r: 1 for r in range(6)}
+        assert [m for _, m in rep.complex_roots] == [1] * 6
+        for r, (z, _) in enumerate(rep.complex_roots):
+            assert abs(z - r) <= 1e-12
+
+    def test_sweep_every_univariate_family_n7(self):
+        reports = 0
+        for g in _graphs_up_to(7):
+            for fam in UNIVARIATE:
+                p = family_polynomial(fam, g)
+                if not p.is_zero():
+                    _assert_certified(p, f"{graph_to_graph6(g)} {fam}")
+                    reports += 1
+        assert reports == 13563
+
+    def test_duplicated_iterates_raise(self, monkeypatch):
+        # both iterates at sqrt(2): each passes the backward-error gate, but
+        # the two inclusion disks are unbounded and overlap
+        twice = [complex(math.sqrt(2))] * 2
+        monkeypatch.setattr(roots, "_aberth", lambda coeffs: (twice, [0.0] * 2))
+        p = poly(-2, 0, 1)
+        assert all(backward_error(p, z) <= 1e-15 for z in twice)
+        with pytest.raises(RootFindingError, match="overlap"):
+            complex_roots(p)
+        with pytest.raises(RootFindingError, match="overlap"):
+            root_report(p)
+
+    def test_real_count_disagreeing_with_sturm_raises(self, monkeypatch):
+        exact = roots._profile
+
+        def one_more(chain, zero):
+            neg, zero, pos = exact(chain, zero)
+            return neg, zero, pos + 1
+
+        monkeypatch.setattr(roots, "_profile", one_more)
+        for p in (poly(-2, 0, 1), poly(1, 0, 1), MIXED):
+            with pytest.raises(RootFindingError, match="Sturm"):
+                complex_roots(p)
+            with pytest.raises(RootFindingError, match="Sturm"):
+                root_report(p)
+
+
+class TestMpmathOracle:
+    def test_roots_match_polyroots(self):
+        # every distinct grpoly root lies within its inclusion radius, or
+        # 1e-8 relative (absolute below modulus 1), of its own mpmath root
+        # of the squarefree part
+        rng = random.Random(20131309)
+        pairs = rng.sample([(g, fam) for g in _graphs_up_to(7)
+                            for fam in UNIVARIATE], 250)
+        checked = 0
+        for g, fam in pairs:
+            p = family_polynomial(fam, g)
+            if p.is_zero() or p.degree < 1:
+                continue
+            croots = complex_roots(p)
+            disjoint, _, radii = _disks(p, croots)
+            assert disjoint, (graph_to_graph6(g), fam)
+            sf = list(squarefree_part(p).coeffs)
+            with mpmath.workdps(40):
+                oracle = [complex(w) for w in mpmath.polyroots(
+                    sf[::-1], maxsteps=400, extraprec=200)]
+            assert len(oracle) == len(croots)
+            for (z, _), r in zip(croots, radii):
+                w = min(oracle, key=lambda w: abs(z - w))
+                assert abs(z - w) <= max(r, 1e-8 * max(1.0, abs(w))), \
+                    (graph_to_graph6(g), fam, z, w, r)
+                oracle.remove(w)
+            checked += 1
+        assert checked > 200
+
+
+class TestRootScatterScript:
+    def test_charl_edge_cover_n6(self):
+        repo = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "root_scatter.py"),
+             "--families", "charL,edgeCover", "--n", "6"],
+            capture_output=True, text=True, cwd=repo)
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "re,im,modulus,graph6,family"
+        degrees = sum(family_polynomial(fam, g).degree
+                      for fam in ("charL", "edgeCover")
+                      for g in enumerate_graphs(6)
+                      if not family_polynomial(fam, g).is_zero())
+        assert len(rows) - 1 == degrees == 1936
