@@ -168,10 +168,11 @@ def cmd_prefactor(args) -> int:
 def cmd_density(args) -> int:
     try:
         re_s, im_s = args.target.split(",")
-    except ValueError:
-        raise UsageError("--target needs RE,IM as exact rationals") from None
-    witness = density_witness(Fraction(re_s), Fraction(im_s),
-                              Fraction(args.eps))
+        re, im, eps = Fraction(re_s), Fraction(im_s), Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("--target needs RE,IM and --eps a value, "
+                         "each an exact rational") from None
+    witness = density_witness(re, im, eps)
     print(json.dumps(witness.to_json_dict()))
     return 0
 

@@ -185,10 +185,6 @@ def tree_from_prufer(code: Sequence[int]) -> Graph:
         raise ValueError("Prüfer decoding needs n >= 2")
     if any(not 0 <= x < n for x in code):
         raise ValueError("Prüfer symbol out of range")
-    return graph(n, _prufer_edges(tuple(code), n))
-
-
-def _prufer_edges(code: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     deg = [1] * n
     for x in code:
         deg[x] += 1
@@ -212,7 +208,7 @@ def _prufer_edges(code: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             ptr += 1
         leaf = ptr
     edges.append((leaf, n - 1))
-    return edges
+    return graph(n, edges)
 
 
 def build_graph_with_parameters(v: int, e: int, k: int) -> Graph:
@@ -514,81 +510,26 @@ def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
 
 
 # -- tree shapes --------------------------------------------------------------
-#
-# Shapes grow like graphs: a leaf added on each vertex of each (n-1)-shape
-# reaches every n-shape (strip any leaf of an n-tree).  Dedup uses the classic
-# rooted-shape code from the tree center: leaves strip off round by round and
-# each vertex's code is the sorted tuple of its already-stripped neighbors'
-# codes, interned to small ints in one table per order, so equal shapes get
-# equal ids.  For bicentral trees the code is the sorted pair over the
-# central edge.
-
-def _tree_cert(edges: list[tuple[int, int]], n: int, intern: dict) -> int:
-    def cid(key) -> int:
-        # key kinds: plain tuple of child ids, ("C", child-id tuple), ("B", id, id)
-        return intern.setdefault(key, len(intern))
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    deg = [len(a) for a in adj]
-    removed = [False] * n
-    rank = [0] * n
-    leaves = [v for v in range(n) if deg[v] == 1]
-    alive = n
-    t = 1
-    order = []
-    while alive > 2:
-        nxt = []
-        for v in leaves:
-            removed[v] = True
-            rank[v] = t
-            order.append(v)
-        alive -= len(leaves)
-        for v in leaves:
-            for u in adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        leaves = nxt
-        t += 1
-    code = [0] * n
-    for v in order:
-        kids = tuple(sorted(code[u] for u in adj[v]
-                            if removed[u] and rank[u] < rank[v]))
-        code[v] = cid(kids)
-    centers = [v for v in range(n) if not removed[v]]
-    if len(centers) == 1:
-        c = centers[0]
-        kids = tuple(sorted(code[u] for u in adj[c]))
-        return cid(("C", kids))
-    c1, c2 = centers
-    a = cid(tuple(sorted(code[u] for u in adj[c1] if u != c2)))
-    b = cid(tuple(sorted(code[u] for u in adj[c2] if u != c1)))
-    return cid(("B", min(a, b), max(a, b)))
-
 
 def tree_shapes_by_prufer(n: int, processes: int | None = None) -> list[Graph]:
     """All tree shapes on n vertices, sorted by graph6.
 
     Grown from the one-vertex tree by adding a leaf on every vertex of every
-    (k-1)-shape and keeping the first tree of each center-rooted shape code,
-    for k = 2..n.  ``processes`` is ignored; it stays only because the
-    benchmark worker (``perfbench/worker.py``) still passes it.
+    (k-1)-shape, for k = 2..n, which reaches every k-shape (strip any leaf of
+    a k-tree).  The first tree found of each isomorphism class is kept; the
+    classes are told apart by ``_canon_bits``, the key graph enumeration
+    uses, called directly so that n is not capped at ``MAX_CANON_N``.
+    ``processes`` is ignored; it stays only because the benchmark worker
+    (``perfbench/worker.py``) still passes it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    shapes: list[list[tuple[int, int]]] = [[]]
+    shapes = [graph(1)]
     for k in range(2, n + 1):
-        intern: dict = {}
-        found: dict[int, list[tuple[int, int]]] = {}
-        for edges in shapes:
+        found: dict[tuple[int, ...], Graph] = {}
+        for t in shapes:
             for v in range(k - 1):
-                grown = edges + [(v, k - 1)]
-                found.setdefault(_tree_cert(grown, k, intern), grown)
+                grown = graph(k, [*t.edges, (v, k - 1)])
+                found.setdefault(_canon_bits(k, grown.masks), grown)
         shapes = list(found.values())
-    trees = [graph(n, edges) for edges in shapes]
-    trees.sort(key=graph_to_graph6)
-    return trees
+    return sorted(shapes, key=graph_to_graph6)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -357,6 +356,17 @@ def divide_linear(coeffs: Sequence[int], r: int) -> list[int] | None:
         return None
     out.pop()
     return list(reversed(out))
+
+
+def divide_out_root(coeffs: Sequence[int], r: int
+                    ) -> tuple[int, Sequence[int]]:
+    """Multiplicity m of the root r, and the exact quotient by (X - r)^m."""
+    mult, quotient = 0, coeffs
+    while True:
+        divided = divide_linear(quotient, r)
+        if divided is None:
+            return mult, quotient
+        mult, quotient = mult + 1, divided
 
 
 # -- multivariate ------------------------------------------------------------

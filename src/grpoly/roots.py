@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, inf, prod
 
-from .polynomials import POWER, IntPoly, convert_basis, divide_linear
+from .polynomials import POWER, IntPoly, convert_basis, divide_out_root
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 400
@@ -284,17 +284,9 @@ def _integer_roots(val: int, deflated: list[int], sf: list[int]
     trailing = abs(next(c for c in sf if c))
     for d in _divisors(trailing):
         for r in (d, -d):
-            work = divide_linear(deflated, r)
-            if work is None:
-                continue
-            mult = 1
-            while True:
-                nxt = divide_linear(work, r)
-                if nxt is None:
-                    break
-                work = nxt
-                mult += 1
-            roots[r] = mult
+            mult, _ = divide_out_root(deflated, r)
+            if mult:
+                roots[r] = mult
     return roots
 
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 
 from .catalog import FAMILY_ARITY, family_polynomial
 from .graphs import Graph, SimilarityTriple, graph_to_graph6, similarity_triple
-from .polynomials import IntPoly, MultiPoly, univariate_from_multi
+from .polynomials import IntPoly, MultiPoly, evaluate, univariate_from_multi
 
 SYMBOLS = ("n", "m", "k", "nu", "rho")
 N_INDETERMINATES = 5
@@ -208,7 +208,12 @@ class _Parser:
 
 
 def parse_simexpr(text: str) -> SimExpr:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise SimParseError("expression nested too deeply",
+                            parser.peek()[2]) from None
 
 
 def format_simexpr(e: SimExpr) -> str:
@@ -358,6 +363,12 @@ class ReductionSpec:
     prefactor: SimExpr
     subs: tuple[SimExpr, ...]
 
+    def __post_init__(self):
+        for name in (self.family_p, self.family_q):
+            if name not in FAMILY_ARITY:
+                raise ValueError(f"unknown family {name!r}; known: "
+                                 f"{', '.join(FAMILY_ARITY)}")
+
     @classmethod
     def from_strings(cls, family_p: str, family_q: str, prefactor: str,
                      subs: Sequence[str]) -> "ReductionSpec":
@@ -367,8 +378,14 @@ class ReductionSpec:
     @classmethod
     def from_json(cls, text: str) -> "ReductionSpec":
         obj = json.loads(text)
-        return cls.from_strings(obj["family_p"], obj["family_q"],
-                                obj["prefactor"], obj["subs"])
+        fields = ("family_p", "family_q", "prefactor")
+        if not (isinstance(obj, dict) and isinstance(obj.get("subs"), list)
+                and all(isinstance(v, str)
+                        for v in [*map(obj.get, fields), *obj["subs"]])):
+            raise ValueError("a reduction spec is a JSON object with strings "
+                             "family_p, family_q, prefactor and a list of "
+                             "strings subs")
+        return cls.from_strings(*map(obj.get, fields), obj["subs"])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -505,7 +522,6 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
 def _eval_family(poly, point: tuple[Fraction, ...]) -> Fraction:
     if isinstance(poly, MultiPoly):
         return Fraction(poly.evaluate(point))
-    from .polynomials import evaluate
     if len(point) != 1:
         raise ValueError("univariate family takes one point coordinate")
     return Fraction(evaluate(poly, point[0]))

@@ -20,9 +20,9 @@ from math import comb
 from typing import Optional, Sequence
 
 from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
-from .polynomials import (IntPoly, ONE, RatPoly, divide_linear, evaluate,
+from .polynomials import (IntPoly, ONE, RatPoly, divide_out_root, from_roots,
                           rat_to_int, substitute)
-from .roots import _float_coeffs, _horner2, is_real_rooted, rouche_bound
+from .roots import _float_coeffs, _horner2, is_real_rooted
 
 MAX_WITNESS_EDGES = 5_000_000
 
@@ -106,12 +106,7 @@ def realify(p: IntPoly, s: int) -> IntPoly:
         raise ValueError(f"negative coefficient {bad}; interleave first")
     if s < p.degree:
         raise ValueError(f"s = {s} < deg(p) = {p.degree}")
-    acc = ONE
-    for i in range(s + 1):
-        factor = IntPoly((-i, 1))
-        for _ in range(p.coeff(i) + 1):
-            acc = acc * factor
-    return acc
+    return from_roots((i, p.coeff(i) + 1) for i in range(s + 1))
 
 
 def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
@@ -125,13 +120,7 @@ def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
     coeffs = []
     remaining = list(q.coeffs)
     for i in range(s + 1):
-        mult = 0
-        while True:
-            divided = divide_linear(remaining, i)
-            if divided is None:
-                break
-            remaining = divided
-            mult += 1
+        mult, remaining = divide_out_root(remaining, i)
         if mult == 0:
             raise ValueError(f"no root at {i}: not a realified polynomial")
         coeffs.append(mult - 1)
@@ -152,10 +141,7 @@ def realify_rootencode(p: IntPoly, s: int | None = None) -> IntPoly:
         s = max(p.degree, 0)
     if s < p.degree:
         raise ValueError(f"s = {s} < deg(p) = {p.degree}")
-    acc = ONE
-    for i in range(s + 1):
-        acc = acc * IntPoly((-p.coeff(i), 1))
-    return acc
+    return from_roots((p.coeff(i), 1) for i in range(s + 1))
 
 
 # -- dense prefactors ---------------------------------------------------------------

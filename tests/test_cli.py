@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -266,18 +267,45 @@ class TestUsage:
         assert proc.returncode == 2
 
 
-class TestParallelDeterminism:
-    def test_thread_env_does_not_change_output(self):
-        import os
-        base = None
-        for threads in ("1", "2"):
-            env = dict(os.environ, GRPOLY_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "grpoly", "poly", "--family",
-                 "charA", "--enum", "5"],
-                capture_output=True, text=True, env=env)
-            assert proc.returncode == 0
-            if base is None:
-                base = proc.stdout
-            else:
-                assert proc.stdout == base
+class TestMalformedInput:
+    NESTED = "(" * 3000 + "X1" + ")" * 3000
+
+    @pytest.mark.parametrize("argv", [
+        ["prefactor", "--spec", "{}", "--enum", "3"],
+        ["prefactor", "--spec", json.dumps(
+            {"family_p": "nope", "family_q": "independence",
+             "prefactor": "1", "subs": ["X1"]}), "--enum", "3"],
+        ["prefactor", "--spec", "[1]", "--enum", "3"],
+        ["prefactor", "--spec", json.dumps(
+            {"family_p": "vertexCover", "family_q": "independence",
+             "prefactor": NESTED, "subs": ["X1^-1"]}), "--enum", "3"],
+        ["density", "--target", "1/0,1", "--eps", "1/10"],
+        ["density", "--target", "1/3,2/3", "--eps", "1/0"],
+    ], ids=["empty-spec", "unknown-family", "spec-not-object",
+            "deep-prefactor", "target-zero-denominator",
+            "eps-zero-denominator"])
+    def test_exits_two_with_one_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len([line for line in err.splitlines()
+                    if line.startswith("error:")]) == 1
+
+
+class TestDeterminism:
+    def test_hash_seed_does_not_change_output(self):
+        # iteration over a set of strings follows the hash seed
+        commands = [["poly", "--family", "charA", "--enum", "5"],
+                    ["equiv", "--left", "charA", "--right", "charL",
+                     "--nmax", "5"]]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            blob = b""
+            for cmd in commands:
+                proc = subprocess.run([sys.executable, "-m", "grpoly"] + cmd,
+                                      capture_output=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                blob += proc.stdout
+            outputs.append(blob)
+        assert outputs[0] == outputs[1]

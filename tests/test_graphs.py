@@ -371,6 +371,13 @@ class TestTreeShapes:
             g6 = [graph_to_graph6(t) for t in tree_shapes_by_prufer(n)]
             assert g6 == sorted(g6)
 
+    def test_graph6_digest_up_to_ten(self):
+        # the kept representative of each shape, not only the shape set
+        text = "".join(graph_to_graph6(t) + "\n" for n in range(1, 11)
+                       for t in tree_shapes_by_prufer(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "df469abf593ed74026674cc6ca78752b7408b9eba0948bf66462a2a822f84af4"
+
     def test_matches_networkx_nonisomorphic_trees(self):
         for n in range(2, 10):
             codes = [tree_code(n, t.edges) for t in tree_shapes_by_prufer(n)]

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 
 from grpoly.polynomials import (BasisMismatchError, IntPoly, MultiPoly,
                                 NonIntegralCoefficientError, convert_basis,
-                                divide_linear, evaluate, from_roots, poly,
-                                poly_from_json, poly_to_json,
+                                divide_linear, divide_out_root, evaluate,
+                                from_roots, poly, poly_from_json, poly_to_json,
                                 reverse_coefficients, substitute,
                                 univariate_from_multi)
 
@@ -182,6 +182,11 @@ class TestDivideLinear:
             return
         q = p * poly(-r, 1)
         assert divide_linear(list(q.coeffs), r) == list(p.coeffs)
+
+    def test_divide_out_root(self):
+        quartic = list(from_roots([(2, 3), (-1, 1)]).coeffs)
+        assert divide_out_root(quartic, 2) == (3, [1, 1])
+        assert divide_out_root(quartic, 5) == (0, quartic)
 
 
 class TestJson:
