@@ -139,10 +139,6 @@ def dp_transfer(p: Family, q: Family, cls: SimilarityClass
     return False, _witness(cls, pair, p_values, q_values)
 
 
-RELATIONS = ("equivalent", "left-refines-right", "right-refines-left",
-             "incomparable")
-
-
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     left: str

@@ -8,7 +8,8 @@ equality is label-sensitive and isomorphism questions go through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -38,7 +39,6 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -53,17 +53,13 @@ class Graph:
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    def __getattr__(self, name: str):
-        # reached only while the masks field is unset
-        if name != "masks":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "masks", tuple(masks))
-        return self.masks
+        return tuple(masks)
 
     @property
     def m(self) -> int:
@@ -256,12 +252,7 @@ def _g6_size_bytes(n: int) -> bytes:
 
 
 def graph_to_graph6(g: Graph) -> str:
-    masks = g.masks
-    bits = []
-    for j in range(1, g.n):
-        col = masks[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
+    bits = _upper_bits(g.masks, range(g.n))
     out = bytearray(_g6_size_bytes(g.n))
     for i in range(0, len(bits), 6):
         group = bits[i:i + 6] + [0] * (6 - len(bits[i:i + 6]))
@@ -307,14 +298,7 @@ def graph_from_graph6(text: str) -> Graph:
             bits.append(val >> shift & 1)
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return graph(n, edges)
+    return _canon_graph(n, bits)
 
 
 def read_graph6_lines(text: str) -> list[Graph]:
@@ -365,13 +349,7 @@ def _canon_bits(n: int, masks: Sequence[int]) -> tuple[int, ...]:
         return ()
     cells = _refine_cells(n, masks)
     if all(len(c) == 1 for c in cells):
-        perm = [v for cell in cells for v in cell]
-        bits = []
-        for i in range(n):
-            row = masks[perm[i]]
-            for j in range(i):
-                bits.append(row >> perm[j] & 1)
-        return tuple(bits)
+        return tuple(_upper_bits(masks, [v for cell in cells for v in cell]))
 
     cell_of_pos = []
     for cell in cells:
@@ -427,15 +405,17 @@ def canonical_form(g: Graph) -> bytes:
     return bytes(packed)
 
 
-def _canon_graph(n: int, bits: tuple[int, ...]) -> Graph:
-    edges = []
-    idx = 0
-    for i in range(n):
-        for j in range(i):
-            if bits[idx]:
-                edges.append((j, i))
-            idx += 1
-    return graph(n, edges)
+def _upper_bits(masks: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Upper-triangle adjacency bits of the vertices listed in ``order``,
+    column by column: the bit order of graph6 and of ``_canon_bits``."""
+    return [masks[v] >> u & 1 for i, v in enumerate(order) for u in order[:i]]
+
+
+def _canon_graph(n: int, bits: Sequence[int]) -> Graph:
+    """Inverse of ``_upper_bits`` in the identity order; extra bits are
+    ignored."""
+    return graph(n, itertools.compress(
+        ((j, i) for i in range(n) for j in range(i)), bits))
 
 
 # -- isomorph-free enumeration --------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -169,83 +171,39 @@ def from_roots(roots: Iterable[tuple[Scalar, int]]) -> IntPoly:
 
 # -- coefficient bases -------------------------------------------------------
 #
-# power -> falling uses Stirling numbers of the second kind,
-# falling -> power the signed first kind; the binomial basis differs from the
-# falling one by the factor i!.  All three changes are unitriangular, so they
-# are bijections that preserve the leading coefficient (up to the i! scale).
-
-def _stirling2(n: int) -> list[list[int]]:
-    s = [[0] * (n + 1) for _ in range(n + 1)]
-    s[0][0] = 1
-    for i in range(1, n + 1):
-        for k in range(1, i + 1):
-            s[i][k] = s[i - 1][k - 1] + k * s[i - 1][k]
-    return s
-
-
-def _stirling1_signed(n: int) -> list[list[int]]:
-    s = [[0] * (n + 1) for _ in range(n + 1)]
-    s[0][0] = 1
-    for i in range(1, n + 1):
-        for k in range(1, i + 1):
-            s[i][k] = s[i - 1][k - 1] - (i - 1) * s[i - 1][k]
-    return s
-
+# The falling basis is the hub.  Dividing p in place by X, X - 1, X - 2, ...
+# and keeping each remainder leaves its falling coefficients (the Newton form
+# of p at the nodes 0, 1, 2, ...); multiplying the same factors back in,
+# Horner style, returns to the power basis.  The binomial basis differs from
+# the falling one by the factor i!, so only binomial input needs Fractions.
+# All three changes are unitriangular, so they are bijections that preserve
+# the leading coefficient (up to the i! scale).
 
 def convert_basis(p: IntPoly, target: str) -> IntPoly:
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if p.basis == target:
         return p
-    d = p.degree
-    if d < 0:
-        return IntPoly((), target)
-
-    # work through the falling basis as the hub; only the binomial basis
-    # divides, so the other two stay in ints
-    def to_falling(q: IntPoly) -> list[int | Fraction]:
-        if q.basis == FALLING:
-            return list(q.coeffs)
-        if q.basis == POWER:
-            s2 = _stirling2(q.degree)
-            out = [0] * (q.degree + 1)
-            for i, c in enumerate(q.coeffs):
-                for k in range(i + 1):
-                    out[k] += c * s2[i][k]
-            return out
-        # binomial: b_i = c_i / i!
-        fact = 1
-        out = []
-        for i, c in enumerate(q.coeffs):
-            if i:
-                fact *= i
-            out.append(Fraction(c, fact))
-        return out
-
-    falling = to_falling(p)
-    if target == FALLING:
-        result = falling
+    c: list[int | Fraction] = list(p.coeffs)
+    d = len(c) - 1
+    fact = list(accumulate(range(1, d + 1), mul, initial=1))  # fact[i] = i!
+    if p.basis == BINOMIAL:
+        c = [Fraction(x, f) for x, f in zip(c, fact)]
+    elif p.basis == POWER:
+        for i in range(1, d):  # divide c[i:] by X - i, remainder in c[i]
+            for j in range(d - 1, i - 1, -1):
+                c[j] += i * c[j + 1]
+    if target == POWER:
+        for i in range(d - 1, 0, -1):  # c[i:] = c[i] + (X - i) * c[i + 1:]
+            for j in range(i, d):
+                c[j] -= i * c[j + 1]
     elif target == BINOMIAL:
-        fact = 1
-        result = []
-        for i, b in enumerate(falling):
-            if i:
-                fact *= i
-            result.append(b * fact)
-    else:  # power
-        s1 = _stirling1_signed(d)
-        result = [0] * (d + 1)
-        for i, b in enumerate(falling):
-            for k in range(i + 1):
-                result[k] += b * s1[i][k]
-
-    ints = []
-    for c in result:
-        if c.denominator != 1:
+        c = [x * f for x, f in zip(c, fact)]
+    for x in c:
+        if x.denominator != 1:
             raise NonIntegralCoefficientError(
-                f"coefficient {c} in target basis {target} is not integral")
-        ints.append(c.numerator)
-    return IntPoly(tuple(ints), target)
+                f"coefficient {x} in target basis {target} is not integral")
+    return IntPoly(tuple(x.numerator for x in c), target)
 
 
 # -- JSON wire form ----------------------------------------------------------
@@ -442,6 +400,14 @@ class MultiPoly:
         return MultiPoly.from_dict(self.arity, d)
 
     __rmul__ = __mul__
+
+    def __pow__(self, exp: int) -> "MultiPoly":
+        if exp < 0:
+            raise ValueError("negative exponent")
+        acc = MultiPoly.constant(self.arity, 1)
+        for _ in range(exp):
+            acc = acc * self
+        return acc
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=-1)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .catalog import FAMILY_ARITY, family_polynomial
@@ -78,18 +79,6 @@ class Pow:
 SimExpr = Union[Lit, Sym, Var, BinOp, Pow]
 
 
-def uses_indeterminates(e: SimExpr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, BinOp):
-        return uses_indeterminates(e.left) or uses_indeterminates(e.right)
-    if isinstance(e, Pow):
-        sub = e.exponent if not isinstance(e.exponent, int) else None
-        return uses_indeterminates(e.base) or (
-            sub is not None and uses_indeterminates(sub))
-    return False
-
-
 # -- tokenizer/parser -------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*^()")
@@ -131,6 +120,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.vars = 0  # Var nodes built so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -183,8 +173,9 @@ class _Parser:
         if tok[0] == "INT":
             self.advance()
             return int(tok[1])
+        before = self.vars
         e = self.atom()
-        if uses_indeterminates(e):
+        if self.vars > before:
             raise SimParseError("indeterminate in exponent", tok[2])
         return e
 
@@ -198,6 +189,7 @@ class _Parser:
                 return Sym(value)
             if (len(value) == 2 and value[0] == "X"
                     and value[1] in "12345"):
+                self.vars += 1
                 return Var(int(value[1]) - 1)
             raise SimParseError(f"unknown name {value!r}", pos)
         if kind == "(":
@@ -216,34 +208,70 @@ def parse_simexpr(text: str) -> SimExpr:
                             parser.peek()[2]) from None
 
 
-def format_simexpr(e: SimExpr) -> str:
-    """Inverse of parse_simexpr up to whitespace and redundant parentheses."""
-    def fmt(e: SimExpr, parent: str) -> str:
-        if isinstance(e, Lit):
-            return str(e.value)
-        if isinstance(e, Sym):
-            return e.name
-        if isinstance(e, Var):
-            return f"X{e.index + 1}"
-        if isinstance(e, Pow):
-            base = fmt(e.base, "^")
-            if isinstance(e.exponent, int):
-                return f"{base}^{e.exponent}" if e.exponent >= 0 \
-                    else f"{base}^-{-e.exponent}"
-            return f"{base}^{fmt(e.exponent, '^')}"
-        text = f"{fmt(e.left, e.op)} {e.op} {fmt(e.right, e.op)}"
-        need_parens = (parent == "^"
-                       or (parent == "*" and e.op in "+-"))
-        return f"({text})" if need_parens else text
+_ATOMS = (Lit, Sym, Var)
 
-    return fmt(e, "")
+
+def _fold(e: SimExpr, leaf, binop, power):
+    """Post-order fold of e without recursion, so flat sums of any length
+    are safe: leaf(node) on atoms, binop(node, left, right) and
+    power(node, base) on the folded children.  A symbolic exponent is not
+    walked; ``power`` reads it from the node."""
+    order, stack = [], [e]  # node, right, left: post-order reversed
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    out: list = []
+    for node in reversed(order):
+        if isinstance(node, _ATOMS):
+            out.append(leaf(node))
+        elif isinstance(node, BinOp):
+            right = out.pop()
+            out.append(binop(node, out.pop(), right))
+        elif isinstance(node, Pow):
+            out.append(power(node, out.pop()))
+        else:
+            raise TypeError(f"not a SimExpr: {node!r}")
+    return out[0]
+
+
+def _binding(e: SimExpr) -> int:
+    """How tightly e binds: + and - loosest, then *, then ^, then atoms."""
+    if isinstance(e, BinOp):
+        return 2 if e.op == "*" else 1
+    return 3 if isinstance(e, Pow) else 4
+
+
+def format_simexpr(e: SimExpr) -> str:
+    """Inverse of parse_simexpr up to whitespace and redundant parentheses:
+    an operand is parenthesized when it binds looser than its operator, or as
+    loosely on the right (+ - * associate left; ^ takes atoms)."""
+    def wrap(text: str, node: SimExpr, limit: int) -> str:
+        return f"({text})" if _binding(node) <= limit else text
+
+    def leaf(node) -> str:
+        if isinstance(node, Lit):
+            return str(node.value)
+        return node.name if isinstance(node, Sym) else f"X{node.index + 1}"
+
+    def binop(node: BinOp, left: str, right: str) -> str:
+        level = _binding(node)
+        return (f"{wrap(left, node.left, level - 1)} {node.op} "
+                f"{wrap(right, node.right, level)}")
+
+    def power(node: Pow, base: str) -> str:
+        exp = node.exponent
+        if not isinstance(exp, int):
+            exp = wrap(format_simexpr(exp), exp, 3)
+        return f"{wrap(base, node.base, 3)}^{exp}"
+
+    return _fold(e, leaf, binop, power)
 
 
 # -- evaluation -------------------------------------------------------------------
-
-def _triple_value(t: SimilarityTriple, name: str) -> int:
-    return {"n": t.n, "m": t.m, "k": t.k, "nu": t.nu, "rho": t.rho}[name]
-
 
 def _resolve_exponent(e: Pow, t: SimilarityTriple) -> int:
     if isinstance(e.exponent, int):
@@ -255,52 +283,46 @@ def _resolve_exponent(e: Pow, t: SimilarityTriple) -> int:
     return val
 
 
+def _evaluate(e: SimExpr, t: SimilarityTriple, lift, var, poles: bool):
+    """Evaluate e in the ring that ``lift`` maps integers into.
+
+    ``var`` gives the value of an indeterminate.  Negative exponents are
+    allowed only when ``poles`` is set, and then a zero base raises PoleError.
+    """
+    def leaf(node):
+        if isinstance(node, Var):
+            return var(node)
+        value = node.value if isinstance(node, Lit) else getattr(t, node.name)
+        return lift(value)
+
+    def binop(node: BinOp, a, b):
+        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+
+    def power(node: Pow, base):
+        exp = _resolve_exponent(node, t)
+        if exp < 0 and not poles:
+            raise ValueError("negative exponent outside point evaluation")
+        if exp < 0 and base == 0:
+            raise PoleError(f"{format_simexpr(node)} at a zero base")
+        return base ** exp
+
+    return _fold(e, leaf, binop, power)
+
+
+def _no_indeterminates(node: Var):
+    raise ValueError("expression mentions indeterminates")
+
+
 def eval_simexpr_scalar(e: SimExpr, t: SimilarityTriple) -> int:
     """Evaluate an indeterminate-free expression to an integer."""
-    if uses_indeterminates(e):
-        raise ValueError("expression mentions indeterminates")
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Sym):
-        return _triple_value(t, e.name)
-    if isinstance(e, BinOp):
-        a = eval_simexpr_scalar(e.left, t)
-        b = eval_simexpr_scalar(e.right, t)
-        return a + b if e.op == "+" else a - b if e.op == "-" else a * b
-    if isinstance(e, Pow):
-        exp = _resolve_exponent(e, t)
-        if exp < 0:
-            raise ValueError("negative exponent outside point evaluation")
-        return eval_simexpr_scalar(e.base, t) ** exp
-    raise TypeError(f"not a SimExpr: {e!r}")
-
-
-def eval_simexpr_multi(e: SimExpr, t: SimilarityTriple) -> MultiPoly:
-    if isinstance(e, Lit):
-        return MultiPoly.constant(N_INDETERMINATES, e.value)
-    if isinstance(e, Sym):
-        return MultiPoly.constant(N_INDETERMINATES, _triple_value(t, e.name))
-    if isinstance(e, Var):
-        return MultiPoly.variable(N_INDETERMINATES, e.index)
-    if isinstance(e, BinOp):
-        a = eval_simexpr_multi(e.left, t)
-        b = eval_simexpr_multi(e.right, t)
-        return a + b if e.op == "+" else a - b if e.op == "-" else a * b
-    if isinstance(e, Pow):
-        exp = _resolve_exponent(e, t)
-        if exp < 0:
-            raise ValueError("negative exponent outside point evaluation")
-        acc = MultiPoly.constant(N_INDETERMINATES, 1)
-        base = eval_simexpr_multi(e.base, t)
-        for _ in range(exp):
-            acc = acc * base
-        return acc
-    raise TypeError(f"not a SimExpr: {e!r}")
+    return _evaluate(e, t, int, _no_indeterminates, poles=False)
 
 
 def eval_simexpr(e: SimExpr, t: SimilarityTriple) -> IntPoly:
     """Evaluate to a univariate polynomial in the (single) indeterminate used."""
-    return univariate_from_multi(eval_simexpr_multi(e, t))
+    return univariate_from_multi(_evaluate(
+        e, t, partial(MultiPoly.constant, N_INDETERMINATES),
+        lambda v: MultiPoly.variable(N_INDETERMINATES, v.index), poles=False))
 
 
 def eval_simexpr_at_point(e: SimExpr, t: SimilarityTriple,
@@ -310,46 +332,27 @@ def eval_simexpr_at_point(e: SimExpr, t: SimilarityTriple,
     This is the path where negative exponents (reciprocal similarity
     functions) are allowed.
     """
-    if isinstance(e, Lit):
-        return Fraction(e.value)
-    if isinstance(e, Sym):
-        return Fraction(_triple_value(t, e.name))
-    if isinstance(e, Var):
-        if e.index >= len(point):
-            raise ValueError(f"point does not bind X{e.index + 1}")
-        return Fraction(point[e.index])
-    if isinstance(e, BinOp):
-        a = eval_simexpr_at_point(e.left, t, point)
-        b = eval_simexpr_at_point(e.right, t, point)
-        return a + b if e.op == "+" else a - b if e.op == "-" else a * b
-    if isinstance(e, Pow):
-        exp = _resolve_exponent(e, t)
-        base = eval_simexpr_at_point(e.base, t, point)
-        if exp < 0 and base == 0:
-            raise PoleError(f"{format_simexpr(e)} at a zero base")
-        return base ** exp
-    raise TypeError(f"not a SimExpr: {e!r}")
+    def var(v: Var) -> Fraction:
+        if v.index >= len(point):
+            raise ValueError(f"point does not bind X{v.index + 1}")
+        return Fraction(point[v.index])
+
+    return _evaluate(e, t, Fraction, var, poles=True)
 
 
 def _degree_bounds(e: SimExpr, t: SimilarityTriple) -> tuple[int, int]:
     """(max positive, max negative) total-degree bound in the indeterminates."""
-    if isinstance(e, (Lit, Sym)):
-        return (0, 0)
-    if isinstance(e, Var):
-        return (1, 0)
-    if isinstance(e, BinOp):
-        ap, an = _degree_bounds(e.left, t)
-        bp, bn = _degree_bounds(e.right, t)
-        if e.op == "*":
-            return (ap + bp, an + bn)
-        return (max(ap, bp), max(an, bn))
-    if isinstance(e, Pow):
-        exp = _resolve_exponent(e, t)
-        bp, bn = _degree_bounds(e.base, t)
-        if exp >= 0:
-            return (bp * exp, bn * exp)
-        return (bn * -exp, bp * -exp)
-    raise TypeError(f"not a SimExpr: {e!r}")
+    def binop(node: BinOp, a, b):
+        if node.op == "*":
+            return (a[0] + b[0], a[1] + b[1])
+        return (max(a[0], b[0]), max(a[1], b[1]))
+
+    def power(node: Pow, base):
+        exp = _resolve_exponent(node, t)
+        return (base[0] * exp, base[1] * exp) if exp >= 0 \
+            else (base[1] * -exp, base[0] * -exp)
+
+    return _fold(e, lambda node: (int(isinstance(node, Var)), 0), binop, power)
 
 
 # -- prefactor reductions -----------------------------------------------------------
@@ -469,8 +472,8 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
               else q_poly.degree)
         dq = max(dq, 0)
         fp, fn = _degree_bounds(spec.prefactor, t)
-        sp = max((_degree_bounds(s, t)[0] for s in spec.subs), default=0)
-        sn = max((_degree_bounds(s, t)[1] for s in spec.subs), default=0)
+        bounds = [_degree_bounds(s, t) for s in spec.subs]
+        sp, sn = map(max, zip((0, 0), *bounds))
         required = max(max(dp, 0), fp + dq * sp) + fn + dq * sn + 1
         required_global = max(required_global, required)
 

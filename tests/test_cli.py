@@ -146,6 +146,16 @@ class TestPrefactor:
         assert code == 1
         assert json.loads(out)["status"] == "FAIL"
 
+    def test_long_flat_sum(self, capsys):
+        # a left-deep chain of 5,000 BinOps, deeper than the recursion limit
+        spec = json.dumps({"family_p": "charA", "family_q": "charA",
+                           "prefactor": "0*X1 + " * 4999 + "1",
+                           "subs": ["X1"]})
+        code, out, _ = run_cli(
+            ["prefactor", "--spec", spec, "--enum", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+
     def test_spec_file(self, capsys, tmp_path):
         path = tmp_path / "reduction.json"
         path.write_text(self.SPEC)

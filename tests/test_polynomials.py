@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from grpoly.polynomials import (BasisMismatchError, IntPoly, MultiPoly,
+from grpoly.polynomials import (BASES, BINOMIAL, POWER, BasisMismatchError,
+                                IntPoly, MultiPoly,
                                 NonIntegralCoefficientError, convert_basis,
                                 divide_linear, divide_out_root, evaluate,
                                 from_roots, poly, poly_from_json, poly_to_json,
@@ -110,6 +113,70 @@ class TestBases:
         # C(X,2) has non-integer power coefficients
         with pytest.raises(NonIntegralCoefficientError):
             convert_basis(IntPoly((0, 0, 1), "binomial"), "power")
+
+
+_SX = sympy.Symbol("X")
+_SYMPY_BASIS = {"power": lambda i: _SX ** i,
+                "falling": lambda i: sympy.ff(_SX, i),
+                "binomial": lambda i: sympy.binomial(_SX, i)}
+
+
+def _sympy_poly(coeffs, basis: str) -> sympy.Poly:
+    expr = sum((c * _SYMPY_BASIS[basis](i) for i, c in enumerate(coeffs)),
+               sympy.Integer(0))
+    return sympy.Poly(sympy.expand_func(expr), _SX)
+
+
+def _sympy_coeffs(p: sympy.Poly, basis: str) -> list[Fraction]:
+    """Coefficients of p in ``basis``, peeling off the leading term."""
+    out = []
+    for i in range(p.degree(), -1, -1):
+        b = _sympy_poly([0] * i + [1], basis)
+        c = p.coeff_monomial(_SX ** i) / b.LC()
+        p -= b * c
+        out.append(Fraction(int(c.p), int(c.q)))
+    assert p.is_zero
+    return out[::-1]
+
+
+class TestBasesAgainstSympy:
+    """Every direction of convert_basis against sympy's expansions of X^i,
+    ff(X, i) and binomial(X, i), on seeded polynomials of degree <= 12."""
+
+    @pytest.mark.parametrize("source,target", [
+        (a, b) for a in BASES for b in BASES if a != b])
+    def test_matches_sympy(self, source, target):
+        rng = random.Random(f"{source}->{target}")
+        raised = 0
+        for trial in range(24):
+            degree = rng.randint(0, 12)
+            coeffs = [rng.randint(-20, 20) for _ in range(degree)]
+            coeffs.append(rng.choice([-3, -2, -1, 1, 2, 3]))
+            if source == BINOMIAL and trial % 2:
+                # the binomial coordinates of an integer polynomial, so
+                # that half the binomial inputs convert without a remainder
+                coeffs = [int(c) for c in _sympy_coeffs(
+                    _sympy_poly(coeffs, POWER), BINOMIAL)]
+            expected = _sympy_coeffs(_sympy_poly(coeffs, source), target)
+            p = IntPoly(tuple(coeffs), source)
+            bad = [c for c in expected if c.denominator != 1]
+            if bad:
+                raised += 1
+                with pytest.raises(NonIntegralCoefficientError) as exc:
+                    convert_basis(p, target)
+                assert str(exc.value) == (f"coefficient {bad[0]} in target "
+                                          f"basis {target} is not integral")
+            else:
+                assert convert_basis(p, target) == \
+                    IntPoly(tuple(int(c) for c in expected), target)
+        # only binomial input can leave a remainder, and it is exercised
+        assert (raised > 0) == (source == BINOMIAL)
+
+    def test_zero_polynomial(self):
+        for source in BASES:
+            for target in BASES:
+                assert convert_basis(IntPoly((), source), target) == \
+                    IntPoly((), target)
 
 
 def _falling_value(x: int, i: int) -> int:

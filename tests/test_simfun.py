@@ -47,6 +47,11 @@ class TestParser:
         "2^rho * X2 - nu",
         "X1^-2",
         "(n + m)^2",
+        "n - (m - k)",
+        "n - (m + k)",
+        "n * (m * k)",
+        "(n^2)^3",
+        "2^(n^2)",
     ])
     def test_format_parse_round_trip(self, text):
         e = parse_simexpr(text)
