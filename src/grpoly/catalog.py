@@ -15,6 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count
 from math import comb
 from typing import Callable, Iterable, Sequence, Union
@@ -38,20 +39,24 @@ FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
 
 # -- graph matrices -----------------------------------------------------------
 
-def adjacency_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+def _matrix(g: Graph, edge: Callable[[int, int], int],
+            diagonal: Callable[[int], int]) -> tuple[tuple[int, ...], ...]:
+    """Symmetric matrix with edge(u, v) at each edge and diagonal(v) on the
+    diagonal; every other entry is 0."""
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
-        rows[u][v] = rows[v][u] = 1
+        rows[u][v] = rows[v][u] = edge(u, v)
+    for v in range(g.n):
+        rows[v][v] = diagonal(v)
     return tuple(tuple(r) for r in rows)
+
+
+def adjacency_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+    return _matrix(g, lambda u, v: 1, lambda v: 0)
 
 
 def laplacian_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    rows = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        rows[u][v] = rows[v][u] = -1
-        rows[u][u] += 1
-        rows[v][v] += 1
-    return tuple(tuple(r) for r in rows)
+    return _matrix(g, lambda u, v: -1, g.degree)
 
 
 def _shortest_cycle_through(g: Graph, u: int, v: int) -> int:
@@ -80,13 +85,7 @@ def _shortest_cycle_through(g: Graph, u: int, v: int) -> int:
 
 
 def cycle_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    rows = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        c = _shortest_cycle_through(g, u, v)
-        rows[u][v] = rows[v][u] = c
-    for v in range(g.n):
-        rows[v][v] = g.degree(v)
-    return tuple(tuple(r) for r in rows)
+    return _matrix(g, partial(_shortest_cycle_through, g), g.degree)
 
 
 def _char_poly_of_matrix(entries: Sequence[Sequence[int]]) -> IntPoly:
@@ -110,16 +109,14 @@ def _char_poly_of_matrix(entries: Sequence[Sequence[int]]) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
+_MATRICES = {"adjacency": adjacency_matrix, "laplacian": laplacian_matrix,
+             "cycle": cycle_matrix}
+
+
 def char_poly(g: Graph, kind: str) -> IntPoly:
-    if kind == "adjacency":
-        mat = adjacency_matrix(g)
-    elif kind == "laplacian":
-        mat = laplacian_matrix(g)
-    elif kind == "cycle":
-        mat = cycle_matrix(g)
-    else:
+    if kind not in _MATRICES:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    return _char_poly_of_matrix(mat)
+    return _char_poly_of_matrix(_MATRICES[kind](g))
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -304,8 +301,6 @@ def subset_counting_poly(g: Graph, family: str) -> IntPoly:
     2^n vertex subsets, filled in the order of s from the entry for s with its
     lowest vertex removed.
     """
-    if family == "edgeCover" and g.m > SUBSET_CAP_BITS:
-        raise ValueError(f"edge cover cap is m <= {SUBSET_CAP_BITS}")
     if family not in SUBSET_FAMILIES:
         raise ValueError(f"unknown subset family {family!r}")
     if g.n > SUBSET_CAP_BITS:
@@ -353,7 +348,7 @@ def _edge_cover_poly(g: Graph) -> IntPoly:
     number of edges induced on s = V-T; signed[k] sums (-1)^|T| over the s
     with k induced edges.
     """
-    inside = bytearray(1 << g.n)  # m <= SUBSET_CAP_BITS < 256
+    inside = array("H", [0]) * (1 << g.n)  # m <= C(24, 2) < 2^16
     signed = [0] * (g.m + 1)
     signed[0] = (-1) ** g.n
     for s in range(1, 1 << g.n):

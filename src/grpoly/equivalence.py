@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 from .catalog import family_polynomial
 from .graphs import Graph, SimilarityTriple, enumerate_graphs, graph_to_graph6, \
     similarity_triple
-from .polynomials import IntPoly, MultiPoly
+from .polynomials import IntPoly, MultiPoly, poly_wire
 
 MAX_SCAN_N = 7
 
@@ -89,10 +89,8 @@ class WitnessPair:
 
 def _value_json(value: Union[IntPoly, MultiPoly]):
     if isinstance(value, IntPoly):
-        return {"basis": value.basis, "coeffs": [str(c) for c in value.coeffs]}
-    return {"arity": value.arity,
-            "terms": [{"exp": list(e), "coeff": str(c)}
-                      for e, c in value.terms]}
+        return poly_wire(value)
+    return {"arity": value.arity, **poly_wire(value)}
 
 
 def _first_violation(q_keys: Sequence, p_keys: Sequence

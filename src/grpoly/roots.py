@@ -9,7 +9,8 @@ Aberth-Ehrlich iteration per Yun factor, each root frozen once its residual
 reaches rounding level, so multiplicities are exact while positions carry a
 checked backward error.  Every result is certified: the Weierstrass inclusion
 disks of each factor are pairwise disjoint, and as many meet the real axis as
-the Sturm chain counts real roots, or RootFindingError is raised.
+the Sturm chain counts real roots, or RootFindingError is raised; the roots
+in the disks that meet the axis are then real and get imaginary part 0.
 ``root_report`` makes one exact pass and reads every exact field off it.
 """
 
@@ -22,9 +23,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, inf, prod
 
-from .polynomials import POWER, IntPoly, convert_basis, divide_out_root
+from .polynomials import POWER, IntPoly, convert_basis
 
-DEFAULT_RESIDUAL_TOL = 1e-9
+RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 400
 _DIVISOR_CAP = 200000
 _TRIAL_CAP = 10 ** 6
@@ -133,20 +134,19 @@ def _yun(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
 
 
 def _squarefree(p: IntPoly):
-    """(valuation, deflated p, squarefree part, Yun factors of deflated p)."""
+    """(valuation, squarefree part, Yun factors of p / X^valuation)."""
     coeffs = convert_basis(p, POWER).coeffs
     val = 0
     while coeffs[val] == 0:
         val += 1
-    deflated = list(coeffs[val:])
-    sqf, factors = _yun(deflated)
-    return val, deflated, ([0] + sqf if val else sqf), factors
+    sqf, factors = _yun(list(coeffs[val:]))
+    return val, ([0] + sqf if val else sqf), factors
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p / gcd(p, p') as a primitive integer polynomial (positive leading)."""
     _require_nonzero(p)
-    return IntPoly(_squarefree(p)[2])
+    return IntPoly(_squarefree(p)[1])
 
 
 def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -180,7 +180,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     corrupt the sign variation counts.
     """
     _require_nonzero(p)
-    return [IntPoly(q) for q in _sturm(_squarefree(p)[2])]
+    return [IntPoly(q) for q in _sturm(_squarefree(p)[1])]
 
 
 def _sign_at(q: list[int], x) -> int:
@@ -222,20 +222,20 @@ def sturm_count(p: IntPoly, interval: tuple) -> int:
     b = b if b == inf else Fraction(b)
     if a != -inf and b != inf and a > b:
         raise ValueError("empty interval")
-    chain = _sturm(_squarefree(p)[2])
+    chain = _sturm(_squarefree(p)[1])
     return _variations(chain, a) - _variations(chain, b)
 
 
 def is_real_rooted(p: IntPoly) -> bool:
     """True iff every complex root of p is real (constant polys vacuously)."""
     _require_nonzero(p)
-    return _real_rooted(_sturm(_squarefree(p)[2]))
+    return _real_rooted(_sturm(_squarefree(p)[1]))
 
 
 def sign_profile(p: IntPoly) -> tuple[int, int, int]:
     """Distinct real roots split as (negative, zero, positive) counts."""
     _require_nonzero(p)
-    val, _, sf, _ = _squarefree(p)
+    val, sf, _ = _squarefree(p)
     return _profile(_sturm(sf), 1 if val else 0)
 
 
@@ -278,28 +278,26 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _integer_roots(val: int, deflated: list[int], sf: list[int]
-                   ) -> dict[int, int]:
+def _integer_roots(val: int, factors: list) -> dict[int, int]:
     roots = {0: val} if val else {}
-    trailing = abs(next(c for c in sf if c))
-    for d in _divisors(trailing):
-        for r in (d, -d):
-            mult, _ = divide_out_root(deflated, r)
-            if mult:
-                roots[r] = mult
+    for q, mult in factors:
+        for d in _divisors(abs(q[0])):
+            for r in (d, -d):
+                if not _sign_at(q, r):
+                    roots[r] = mult
     return roots
 
 
 def integer_roots(p: IntPoly) -> dict[int, int]:
     """All integer roots with multiplicities, by exact divisor testing.
 
-    Divisors are taken from the trailing coefficient of the squarefree part,
-    which keeps the candidate set small even when p itself has huge repeated
-    factors; multiplicities come from repeated exact division of p.
+    Each Yun factor q_i is squarefree and coprime to the others, so a root of
+    q_i has multiplicity exactly i; the candidates are the divisors of each
+    |q_i(0)|, which stays small even when p itself has huge repeated factors.
     """
     _require_nonzero(p)
-    val, deflated, sf, _ = _squarefree(p)
-    return _integer_roots(val, deflated, sf)
+    val, _, factors = _squarefree(p)
+    return _integer_roots(val, factors)
 
 
 # -- numeric complex roots -------------------------------------------------------
@@ -307,15 +305,6 @@ def integer_roots(p: IntPoly) -> dict[int, int]:
 def _float_coeffs(p: IntPoly) -> list[float]:
     scale = max(abs(c) for c in p.coeffs)
     return [float(Fraction(c, scale)) for c in p.coeffs]
-
-
-def _horner2(coeffs: list[float], z: complex) -> tuple[complex, complex]:
-    acc = 0j
-    dacc = 0j
-    for c in reversed(coeffs):
-        dacc = dacc * z + acc
-        acc = acc * z + c
-    return acc, dacc
 
 
 def _aberth(coeffs: list[float]) -> tuple[list[complex], list[float]]:
@@ -370,8 +359,9 @@ def _aberth(coeffs: list[float]) -> tuple[list[complex], list[float]]:
         f"Aberth iteration did not converge in {ABERTH_MAX_ITER} steps")
 
 
-def _real_disks(lead: float, zs: list[complex], errs: list[float]) -> int:
-    """Number of Weierstrass inclusion disks of zs that meet the real axis.
+def _real_disks(lead: float, zs: list[complex], errs: list[float]
+                ) -> list[int]:
+    """Indices of the Weierstrass inclusion disks of zs that meet the real axis.
 
     The disk around z_k has radius d |p(z_k)| / |a_d prod_(j!=k) (z_k - z_j)|,
     with errs[k] >= |p(z_k)|.  Pairwise disjoint disks hold one root each
@@ -384,11 +374,14 @@ def _real_disks(lead: float, zs: list[complex], errs: list[float]) -> int:
     if any(abs(zs[k] - zs[j]) <= radii[k] + radii[j]
            for k in range(len(zs)) for j in range(k)):
         raise RootFindingError("inclusion disks of two roots overlap")
-    return sum(1 for z, r in zip(zs, radii) if abs(z.imag) <= r)
+    return [k for k, (z, r) in enumerate(zip(zs, radii)) if abs(z.imag) <= r]
 
 
 def _residual(norm: list[float], z: complex) -> float:
-    value = abs(_horner2(norm, z)[0])
+    acc = 0j
+    for c in reversed(norm):
+        acc = acc * z + c
+    value = abs(acc)
     scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(norm))
     return value / scale if scale else value
 
@@ -401,8 +394,7 @@ def backward_error(p: IntPoly, z: complex) -> float:
     return _residual(_float_coeffs(convert_basis(p, POWER)), z)
 
 
-def complex_roots(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL
-                  ) -> list[tuple[complex, int]]:
+def complex_roots(p: IntPoly) -> list[tuple[complex, int]]:
     """Numeric roots with exact multiplicities, degree-many in total.
 
     Returns (root, multiplicity) pairs sorted by (real, imag).  The roots
@@ -413,26 +405,28 @@ def complex_roots(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL
     if p.degree < 1:
         raise ValueError("complex_roots needs degree >= 1")
     p = convert_basis(p, POWER)
-    val, _, sf, factors = _squarefree(p)
+    val, sf, factors = _squarefree(p)
     neg, _, pos = _profile(_sturm(sf), 1 if val else 0)
-    return [(z, m) for z, m, _ in _complex_roots(p, val, factors, tol,
-                                                  neg + pos)]
+    return [(z, m) for z, m, _ in _complex_roots(p, val, factors, neg + pos)]
 
 
-def _complex_roots(p: IntPoly, val: int, factors: list, tol: float,
-                   real: int) -> list[tuple[complex, int, float]]:
+def _complex_roots(p: IntPoly, val: int, factors: list, real: int
+                   ) -> list[tuple[complex, int, float]]:
     """(root, multiplicity, backward error) triples sorted by root, certified
-    against ``tol`` and the Sturm count ``real`` of nonzero real roots."""
+    against RESIDUAL_TOL and the Sturm count ``real`` of nonzero real roots."""
     # p(0) = 0 exactly, so a zero root's backward error is 0.0
     found: list[tuple[complex, int, float]] = [(0j, val, 0.0)] if val else []
     norm = _float_coeffs(p)
     for factor, mult in factors:
         coeffs = _float_coeffs(IntPoly(factor))
         zs, errs = _aberth(coeffs)
-        real -= _real_disks(coeffs[-1], zs, errs)
+        on_axis = _real_disks(coeffs[-1], zs, errs)
+        real -= len(on_axis)
+        for k in on_axis:  # real once the count below matches Sturm's
+            zs[k] = complex(zs[k].real, 0.0)
         for z in zs:
             residual = _residual(norm, z)
-            if residual > tol:
+            if residual > RESIDUAL_TOL:
                 raise RootFindingError(
                     f"root {z} has backward error {residual:.3e} > tol")
             found.append((z, mult, residual))
@@ -445,11 +439,11 @@ def _complex_roots(p: IntPoly, val: int, factors: list, tol: float,
     return found
 
 
-def max_root_modulus(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> float:
+def max_root_modulus(p: IntPoly) -> float:
     _require_nonzero(p)
     if p.degree < 1:
         return 0.0
-    return max(abs(z) for z, _ in complex_roots(p, tol))
+    return max(abs(z) for z, _ in complex_roots(p))
 
 
 def rouche_bound(p: IntPoly) -> Fraction:
@@ -505,14 +499,14 @@ def _fmt(x: float) -> str:
     return format(x, ".12e")
 
 
-def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
+def root_report(p: IntPoly) -> RootReport:
     """Every root fact of p, from one exact pass and one numeric pass."""
     _require_nonzero(p)
     p = convert_basis(p, POWER)
-    val, deflated, sf, factors = _squarefree(p)
+    val, sf, factors = _squarefree(p)
     chain = _sturm(sf)
     neg, zero, pos = _profile(chain, 1 if val else 0)
-    found = (_complex_roots(p, val, factors, tol, neg + pos)
+    found = (_complex_roots(p, val, factors, neg + pos)
              if p.degree >= 1 else [])
     croots = tuple((z, m) for z, m, _ in found)
     residuals = tuple(r for _, _, r in found)
@@ -523,7 +517,7 @@ def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
         zero_root=zero,
         positive_real=pos,
         real_rooted=_real_rooted(chain),
-        integer_roots=_integer_roots(val, deflated, sf),
+        integer_roots=_integer_roots(val, factors),
         complex_roots=croots,
         residuals=residuals,
         rouche_radius=rouche_bound(p),
@@ -531,14 +525,10 @@ def root_report(p: IntPoly, tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
     )
 
 
-def scatter_rows(p: IntPoly, graph6: str, family: str,
-                 tol: float = DEFAULT_RESIDUAL_TOL) -> list[tuple[str, ...]]:
+def scatter_rows(p: IntPoly, graph6: str, family: str
+                 ) -> list[tuple[str, ...]]:
     """CSV rows (re, im, modulus, graph6, family), one per root w/ multiplicity."""
-    rows = []
-    if p.is_zero() or p.degree < 1:
-        return rows
-    for z, mult in complex_roots(p, tol):
-        for _ in range(mult):
-            rows.append((_fmt(z.real), _fmt(z.imag), _fmt(abs(z)),
-                         graph6, family))
-    return rows
+    if p.degree < 1:
+        return []
+    return [(_fmt(z.real), _fmt(z.imag), _fmt(abs(z)), graph6, family)
+            for z, mult in complex_roots(p) for _ in range(mult)]

@@ -48,30 +48,42 @@ class PoleError(ZeroDivisionError):
 
 # -- AST ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class _Node:
+    """Nodes compare and hash by their ``format_simexpr`` text, which
+    round-trips through the parser and is built without recursion."""
+
+    def __eq__(self, other):
+        return (isinstance(other, _Node)
+                and format_simexpr(self) == format_simexpr(other))
+
+    def __hash__(self):
+        return hash(format_simexpr(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Lit(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Sym:
+@dataclass(frozen=True, eq=False)
+class Sym(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     index: int  # 0-based; X1 is index 0
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str  # '+', '-', '*'
     left: "SimExpr"
     right: "SimExpr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False)
+class Pow(_Node):
     base: "SimExpr"
     exponent: Union[int, "SimExpr"]  # int may be negative (extension)
 

@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
-from .polynomials import (IntPoly, ONE, RatPoly, divide_out_root, from_roots,
-                          rat_to_int, substitute)
-from .roots import _float_coeffs, _horner2, is_real_rooted
+from .polynomials import (IntPoly, ONE, ZERO, divide_out_root, from_roots,
+                          int_text, poly_wire, substitute)
+from .roots import backward_error, is_real_rooted
 
 MAX_WITNESS_EDGES = 5_000_000
 
@@ -40,18 +39,14 @@ class TransformRecord:
     inverse_data: dict
 
     def to_json(self) -> str:
-        # str(Decimal(c)) is exact and equals str(c), but is not subject to
-        # the interpreter's limit on int-to-str digits (4300 by default)
         def text(v) -> str:
-            return str(Decimal(v)) if isinstance(v, int) else str(v)
+            return int_text(v) if isinstance(v, int) else str(v)
 
         return json.dumps({
             "transform": self.transform,
             "params": {k: text(v) for k, v in self.params.items()},
-            "input": {"basis": self.input.basis,
-                      "coeffs": [text(c) for c in self.input.coeffs]},
-            "output": {"basis": self.output.basis,
-                       "coeffs": [text(c) for c in self.output.coeffs]},
+            "input": poly_wire(self.input),
+            "output": poly_wire(self.output),
             "inverse_data": {k: text(v) for k, v in self.inverse_data.items()},
         })
 
@@ -315,14 +310,13 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
     root_re, root_im = Fraction(a, c), Fraction(b, c)
 
     # the factor for the bijection (a,b,c) -> (scale*a, scale*b, scale*c)
-    # vanishes exactly at (a+bi)/c; confirm and report the numeric residual
-    # of the full degree-12 product.
+    # vanishes exactly at (a+bi)/c; confirm and report the backward error
+    # of the root in the full degree-12 product.
     factor = IntPoly((a * a + b * b, -2 * a * c, c * c))
     fr, fi = eval_at_gaussian(factor, root_re, root_im)
     assert fr == 0 and fi == 0
-    prefactor = quadrant_prefactor(triple, "right")
-    residual = abs(_horner2(_float_coeffs(prefactor),
-                            complex(root_re, root_im))[0])
+    residual = backward_error(quadrant_prefactor(triple, "right"),
+                              complex(root_re, root_im))
     dist = (root_re - re) ** 2 + (root_im - im) ** 2
     return DensityWitness(a=a, b=b, c=c, scale=scale, triple=triple, graph=g,
                           root=(root_re, root_im), distance_sq=dist,
@@ -359,21 +353,29 @@ def scale_for_graph(p: IntPoly, t: SimilarityTriple, r: int) -> IntPoly:
     return rouche_scale(p, bound)
 
 
-def remap_roots(p: IntPoly, alpha: Fraction, beta: Fraction) -> RatPoly:
+def remap_roots(p: IntPoly, alpha: Fraction, beta: Fraction) -> IntPoly:
     """Polynomial whose roots are the image of p's roots under z -> alpha*z + beta.
 
-    Realized as p((X - beta) / alpha) cleared of denominators; the map is
-    injective (alpha != 0), so the root multiset transforms bijectively.
+    M^d p(N/M) in Z[x] for (X - beta) / alpha = N/M, by homogeneous Horner,
+    divided by its content; the map is injective (alpha != 0), so the root
+    multiset transforms bijectively.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    inner = RatPoly((-beta / alpha, 1 / alpha))
-    acc = RatPoly(())
+    # alpha = a_n/a_d and beta = b_n/b_d give N = a_d (b_d X - b_n) and
+    # M = a_n b_d, with a_n and a_d both negated when a_n < 0 so M > 0
+    a_n, a_d = alpha.numerator, alpha.denominator
+    if a_n < 0:
+        a_n, a_d = -a_n, -a_d
+    num = IntPoly((-a_d * beta.numerator, a_d * beta.denominator))
+    den = a_n * beta.denominator
+    acc, power = ZERO, 1
     for c in reversed(p.coeffs):
-        acc = acc * inner + RatPoly((Fraction(c),))
-    cleared = rat_to_int(acc)
-    return RatPoly(tuple(Fraction(c) for c in cleared.coeffs))
+        acc = acc * num + IntPoly((c * power,))
+        power *= den
+    content = gcd(*acc.coeffs)
+    return IntPoly(tuple(c // content for c in acc.coeffs)) if content else acc
 
 
 def permute_coefficients(p: IntPoly, perm: Sequence[int]) -> IntPoly:

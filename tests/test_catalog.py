@@ -294,8 +294,12 @@ class TestSubsetFamilies:
         # few edges but 2^n vertex subsets: refused before any table is built
         with pytest.raises(ValueError, match="subset family cap is n <= 24"):
             subset_counting_poly(graph(40), "edgeCover")
-        with pytest.raises(ValueError, match="edge cover cap is m <= 24"):
-            subset_counting_poly(named_graph("complete", 8), "edgeCover")
+        # K8's 28 edges need no cap: 105 perfect matchings are the smallest
+        # covers, and 252,522,481 = A006129(8) spanning subgraphs have no
+        # isolated vertex
+        k8 = subset_counting_poly(named_graph("complete", 8), "edgeCover")
+        assert k8.coeffs[:5] == (0, 0, 0, 0, 105)
+        assert sum(k8.coeffs) == 252522481 and k8.degree == 28
 
     def test_independence_and_clique_against_networkx(self):
         nx = pytest.importorskip("networkx")

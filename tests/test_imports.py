@@ -1,4 +1,5 @@
-"""Every name a grpoly module imports is used in that module."""
+"""Every name a grpoly module imports is used in that module, and every
+module-level private function or class is referenced outside its own body."""
 
 import ast
 from pathlib import Path
@@ -11,9 +12,19 @@ MODULES = sorted(p for p in Path(grpoly.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names and attribute names read anywhere under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -25,4 +36,16 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported.items() if name not in used)
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_private_definitions(path):
+    tree = _parse(path)
+    unused = sorted(
+        f"{stmt.name} (line {stmt.lineno})" for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in _names(other)
+                    for other in tree.body if other is not stmt))
     assert unused == []

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from grpoly.polynomials import (BASES, BINOMIAL, POWER, BasisMismatchError,
                                 IntPoly, MultiPoly,
                                 NonIntegralCoefficientError, convert_basis,
-                                divide_linear, divide_out_root, evaluate,
+                                divide_out_root, evaluate,
                                 from_roots, poly, poly_from_json, poly_to_json,
                                 reverse_coefficients, substitute,
                                 univariate_from_multi)
@@ -235,20 +235,22 @@ class TestReverse:
             reverse_coefficients(poly(1, 1, 1), 1)
 
 
-class TestDivideLinear:
+class TestDivideOutRoot:
     def test_quotient_and_non_root(self):
         cubic = list(from_roots([(1, 1), (2, 1), (-3, 1)]).coeffs)
-        assert divide_linear(cubic, -3) == list(from_roots([(1, 1),
-                                                            (2, 1)]).coeffs)
-        assert divide_linear(cubic, 3) is None
+        assert divide_out_root(cubic, -3) == (
+            1, list(from_roots([(1, 1), (2, 1)]).coeffs))
+        assert divide_out_root(cubic, 3) == (0, cubic)
 
     @given(small_polys, st.integers(-5, 5))
     @settings(max_examples=40)
     def test_inverts_multiplication(self, p, r):
         if p.is_zero():
             return
+        mult, quotient = divide_out_root(list(p.coeffs), r)
         q = p * poly(-r, 1)
-        assert divide_linear(list(q.coeffs), r) == list(p.coeffs)
+        assert divide_out_root(list(q.coeffs), r) == (mult + 1,
+                                                      list(quotient))
 
     def test_divide_out_root(self):
         quartic = list(from_roots([(2, 3), (-1, 1)]).coeffs)

@@ -105,6 +105,14 @@ class TestReductionSpecs:
         again = ReductionSpec.from_json(spec.to_json())
         assert again == spec
 
+    def test_long_flat_sum_compares_and_hashes(self):
+        # a left-deep chain of 5,000 BinOps, deeper than the recursion limit
+        text = "0*X1 + " * 4999 + "1"
+        assert parse_simexpr(text) == parse_simexpr(text)
+        assert hash(parse_simexpr(text)) == hash(parse_simexpr(text))
+        spec = ReductionSpec.from_strings("charA", "charA", text, [text])
+        assert ReductionSpec.from_json(spec.to_json()) == spec
+
     def test_arity_mismatch(self):
         spec = ReductionSpec.from_strings(
             "vertexCover", "independence", "X1^n", ["X1", "X1"])
