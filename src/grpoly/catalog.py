@@ -200,7 +200,7 @@ def chromatic_poly(g: Graph) -> IntPoly:
             t = (t - 1) & free
         parts[s] = total << 32
     counts = [parts[-1] >> 32 * j & 0xFFFFFFFF for j in range(g.n + 1)]
-    return convert_basis(IntPoly(tuple(counts), FALLING), POWER)
+    return IntPoly(convert_basis(counts, FALLING, POWER))
 
 
 # -- Tutte -----------------------------------------------------------------------

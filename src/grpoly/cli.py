@@ -89,13 +89,14 @@ def cmd_poly(args) -> int:
     _check_family(args.family)
     lines = []
     for g in _load_source(args):
-        p = family_polynomial(args.family, g)
         if args.format == "json":
-            lines.append(_poly_json(p))
+            lines.append(_poly_json(family_polynomial(args.family, g)))
         else:
-            coeffs = ";".join(map(str, p.coeffs)) \
-                if isinstance(p, IntPoly) else ""
-            lines.append(f"{graph_to_graph6(g)},{args.family},{coeffs}")
+            p = _univariate(args.family, g,
+                            f"family {args.family} is multivariate; "
+                            "--format csv needs a univariate family")
+            lines.append(f"{graph_to_graph6(g)},{args.family},"
+                         f"{';'.join(map(str, p.coeffs))}")
     for line in lines:
         print(line)
     return 0
@@ -212,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = subs.add_parser("poly", help="compute a family over a source")
     p_poly.add_argument("--family", required=True)
-    p_poly.add_argument("--format", choices=("json", "csv"), default="json")
+    p_poly.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="csv needs a univariate family")
     _add_source_args(p_poly)
     p_poly.set_defaults(func=cmd_poly)
 

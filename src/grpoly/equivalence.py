@@ -52,7 +52,7 @@ def _resolve(family: Family) -> tuple[str, Callable]:
 
 def _value_key(value: Union[IntPoly, MultiPoly]):
     if isinstance(value, IntPoly):
-        return ("u", value.basis, value.coeffs)
+        return ("u", value.coeffs)
     return ("m", value.arity, value.terms)
 
 

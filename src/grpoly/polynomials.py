@@ -1,14 +1,16 @@
-"""Exact univariate and small multivariate polynomial arithmetic.
+"""Exact univariate polynomial arithmetic and a multivariate term table.
 
-Univariate polynomials carry arbitrary-precision integer coefficients and a
-coefficient basis tag: ``power`` (monomials X^i), ``falling`` (falling
-factorials X(X-1)...(X-i+1)) or ``binomial`` (binomial coefficients C(X,i)).
-Coefficients are stored ascending by degree with no trailing zeros; the zero
-polynomial has an empty coefficient tuple.  Z[x] is the one exact ring: root
-maps clear denominators up front and divide by the content, so no result
-needs rational coefficients.  ``RatPoly`` and ``rat_divmod`` remain only as
-the shell that the benchmark's tracer wraps; nothing in the package calls
-them.
+``IntPoly`` is Z[X] in the power basis, the one univariate ring: coefficients
+are arbitrary-precision integers, stored ascending by degree with no trailing
+zeros, and the zero polynomial has an empty coefficient tuple.  Root maps
+clear denominators up front and divide by the content, so no result needs
+rational coefficients.  ``convert_basis`` rewrites plain coefficient
+sequences between the power basis (monomials X^i), the falling basis
+(X(X-1)...(X-i+1)) and the binomial basis (C(X,i)); only power-basis
+coefficients become an ``IntPoly``.  ``MultiPoly`` is the term table of the
+bivariate families, evaluated at points and written as JSON.  ``RatPoly``
+and ``rat_divmod`` remain only as the shell that the benchmark's tracer
+wraps; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ BINOMIAL = "binomial"
 BASES = (POWER, FALLING, BINOMIAL)
 
 
-class BasisMismatchError(ValueError):
-    """Arithmetic attempted between polynomials in different bases."""
-
-
 class NonIntegralCoefficientError(ValueError):
     """A basis change or denominator clearing produced a non-integer."""
 
@@ -46,14 +44,11 @@ def _strip(coeffs: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Dense exact-integer polynomial, ascending coefficients, tagged basis."""
+    """Dense exact-integer polynomial in X, ascending coefficients."""
 
     coeffs: tuple[int, ...]
-    basis: str = POWER
 
     def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
         stripped = _strip(self.coeffs)
         if any(not isinstance(c, int) for c in stripped):
             raise TypeError("IntPoly coefficients must be ints")
@@ -70,45 +65,41 @@ class IntPoly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def _check_same_basis(self, other: "IntPoly"):
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"basis mismatch: {self.basis} vs {other.basis}")
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        self._check_same_basis(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)),
-                       self.basis)
+        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        self._check_same_basis(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)),
-                       self.basis)
+        return IntPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs), self.basis)
+        return IntPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs), self.basis)
-        # products of falling factorials / binomials are not basis-diagonal
-        if self.basis != POWER or other.basis != POWER:
-            raise BasisMismatchError("multiplication requires the power basis")
+            return IntPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
-            return IntPoly((), POWER)
+            return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(tuple(out), POWER)
+        return IntPoly(tuple(out))
 
     __rmul__ = __mul__
 
+    def __pow__(self, exp: int) -> "IntPoly":
+        if exp < 0:
+            raise ValueError("negative exponent")
+        acc = ONE
+        for _ in range(exp):
+            acc = acc * self
+        return acc
+
     def __repr__(self):
-        return f"IntPoly({list(self.coeffs)}, {self.basis!r})"
+        return f"IntPoly({list(self.coeffs)})"
 
 
 X = IntPoly((0, 1))
@@ -116,15 +107,13 @@ ONE = IntPoly((1,))
 ZERO = IntPoly(())
 
 
-def poly(*coeffs: int, basis: str = POWER) -> IntPoly:
+def poly(*coeffs: int) -> IntPoly:
     """Shorthand constructor, coefficients ascending by degree."""
-    return IntPoly(tuple(coeffs), basis)
+    return IntPoly(tuple(coeffs))
 
 
 def evaluate(p: IntPoly, x):
     """Horner evaluation.  Exact for int/Fraction points, float for complex."""
-    if p.basis != POWER:
-        p = convert_basis(p, POWER)
     acc = 0 if not isinstance(x, complex) else 0j
     for c in reversed(p.coeffs):
         acc = acc * x + c
@@ -132,9 +121,7 @@ def evaluate(p: IntPoly, x):
 
 
 def substitute(p: IntPoly, inner: IntPoly) -> IntPoly:
-    """Exact composition p(inner(X)); both in the power basis."""
-    if p.basis != POWER or inner.basis != POWER:
-        raise BasisMismatchError("substitution requires the power basis")
+    """Exact composition p(inner(X))."""
     acc = ZERO
     for c in reversed(p.coeffs):
         acc = acc * inner + IntPoly((c,))
@@ -148,7 +135,7 @@ def reverse_coefficients(p: IntPoly, degree: int) -> IntPoly:
     out = [0] * (degree + 1)
     for i, c in enumerate(p.coeffs):
         out[degree - i] = c
-    return IntPoly(tuple(out), p.basis)
+    return IntPoly(tuple(out))
 
 
 def from_roots(roots: Iterable[tuple[Scalar, int]]) -> IntPoly:
@@ -182,17 +169,21 @@ def from_roots(roots: Iterable[tuple[Scalar, int]]) -> IntPoly:
 # All three changes are unitriangular, so they are bijections that preserve
 # the leading coefficient (up to the i! scale).
 
-def convert_basis(p: IntPoly, target: str) -> IntPoly:
-    if target not in BASES:
-        raise ValueError(f"unknown basis {target!r}")
-    if p.basis == target:
-        return p
-    c: list[int | Fraction] = list(p.coeffs)
+def convert_basis(coeffs: Sequence[int], source: str, target: str
+                  ) -> tuple[int, ...]:
+    """Coefficients in ``target`` of the polynomial whose coefficients in
+    ``source`` are ``coeffs``, of the same length."""
+    for basis in (source, target):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+    c: list[int | Fraction] = list(coeffs)
+    if source == target:
+        return tuple(c)
     d = len(c) - 1
     fact = list(accumulate(range(1, d + 1), mul, initial=1))  # fact[i] = i!
-    if p.basis == BINOMIAL:
+    if source == BINOMIAL:
         c = [Fraction(x, f) for x, f in zip(c, fact)]
-    elif p.basis == POWER:
+    elif source == POWER:
         for i in range(1, d):  # divide c[i:] by X - i, remainder in c[i]
             for j in range(d - 1, i - 1, -1):
                 c[j] += i * c[j + 1]
@@ -206,7 +197,7 @@ def convert_basis(p: IntPoly, target: str) -> IntPoly:
         if x.denominator != 1:
             raise NonIntegralCoefficientError(
                 f"coefficient {x} in target basis {target} is not integral")
-    return IntPoly(tuple(x.numerator for x in c), target)
+    return tuple(x.numerator for x in c)
 
 
 # -- JSON wire form ----------------------------------------------------------
@@ -220,7 +211,7 @@ def int_text(c: int) -> str:
 def poly_wire(p: Union[IntPoly, MultiPoly]) -> dict:
     """The JSON object of p: basis and coefficients, or exponent terms."""
     if isinstance(p, IntPoly):
-        return {"basis": p.basis, "coeffs": [int_text(c) for c in p.coeffs]}
+        return {"basis": POWER, "coeffs": [int_text(c) for c in p.coeffs]}
     return {"terms": [{"exp": list(e), "coeff": int_text(c)}
                       for e, c in p.terms]}
 
@@ -230,15 +221,22 @@ def poly_to_json(p: IntPoly) -> str:
 
 
 def poly_from_json(text: str) -> IntPoly:
+    """Inverse of poly_to_json.  Coefficients are read through Decimal, as
+    ``int_text`` writes them, so no int-from-str digit limit applies."""
     obj = json.loads(text)
-    return IntPoly(tuple(int(c) for c in obj["coeffs"]), obj["basis"])
+    coeffs = obj["coeffs"]
+    if obj["basis"] != POWER or not all(
+            isinstance(c, str) and c.removeprefix("-").isdecimal()
+            for c in coeffs):
+        raise ValueError("expected the power basis and integer coefficients")
+    return IntPoly(tuple(int(Decimal(c)) for c in coeffs))
 
 
 # -- rational polynomials ----------------------------------------------------
 
 @dataclass(frozen=True)
 class RatPoly:
-    """Dense polynomial over Fraction; always power basis."""
+    """Dense polynomial over Fraction, ascending coefficients."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -322,55 +320,8 @@ class MultiPoly:
     def from_dict(cls, arity: int, d: Mapping[tuple[int, ...], int]) -> "MultiPoly":
         return cls(arity, tuple(d.items()))
 
-    @classmethod
-    def constant(cls, arity: int, c: int) -> "MultiPoly":
-        return cls.from_dict(arity, {(0,) * arity: c} if c else {})
-
-    @classmethod
-    def variable(cls, arity: int, index: int) -> "MultiPoly":
-        exps = [0] * arity
-        exps[index] = 1
-        return cls.from_dict(arity, {tuple(exps): 1})
-
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return MultiPoly.from_dict(self.arity, d)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (other * -1)
-
-    def __mul__(self, other: Union["MultiPoly", int]) -> "MultiPoly":
-        if isinstance(other, int):
-            return MultiPoly(self.arity,
-                             tuple((e, c * other) for e, c in self.terms))
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        d: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, 0) + c1 * c2
-        return MultiPoly.from_dict(self.arity, d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "MultiPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        acc = MultiPoly.constant(self.arity, 1)
-        for _ in range(exp):
-            acc = acc * self
-        return acc
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=-1)
@@ -387,25 +338,9 @@ class MultiPoly:
             acc += t
         return acc
 
-    def __repr__(self):
-        return f"MultiPoly(arity={self.arity}, terms={list(self.terms)})"
-
 
 def multipoly_to_json(p: MultiPoly, var_names: Sequence[str]) -> str:
     if len(var_names) != p.arity:
         raise ValueError("variable name count mismatch")
     return json.dumps({"vars": list(var_names), **poly_wire(p)})
 
-
-def univariate_from_multi(p: MultiPoly) -> IntPoly:
-    """Collapse a MultiPoly that mentions at most one variable to an IntPoly."""
-    used = [i for i in range(p.arity)
-            if any(e[i] for e, _ in p.terms)]
-    if len(used) > 1:
-        raise ValueError("polynomial mentions more than one variable")
-    var = used[0] if used else 0
-    out: dict[int, int] = {}
-    for e, c in p.terms:
-        out[e[var]] = out.get(e[var], 0) + c
-    deg = max(out, default=-1)
-    return IntPoly(tuple(out.get(i, 0) for i in range(deg + 1)))

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, inf, prod
 
-from .polynomials import POWER, IntPoly, convert_basis
+from .polynomials import IntPoly
 
 RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 400
@@ -36,7 +37,7 @@ class ZeroPolynomialError(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """The numeric root iteration failed to converge; results are unusable."""
+    """Numeric root finding failed; results are unusable."""
 
 
 def _require_nonzero(p: IntPoly):
@@ -135,11 +136,10 @@ def _yun(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
 
 def _squarefree(p: IntPoly):
     """(valuation, squarefree part, Yun factors of p / X^valuation)."""
-    coeffs = convert_basis(p, POWER).coeffs
     val = 0
-    while coeffs[val] == 0:
+    while p.coeffs[val] == 0:
         val += 1
-    sqf, factors = _yun(list(coeffs[val:]))
+    sqf, factors = _yun(list(p.coeffs[val:]))
     return val, ([0] + sqf if val else sqf), factors
 
 
@@ -152,8 +152,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 def yun_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Squarefree decomposition [(q_i, i)] with p = c * prod q_i^i exactly."""
     _require_nonzero(p)
-    return [(IntPoly(q), i)
-            for q, i in _yun(list(convert_basis(p, POWER).coeffs))[1]]
+    return [(IntPoly(q), i) for q, i in _yun(list(p.coeffs))[1]]
 
 
 # -- Sturm chains --------------------------------------------------------------
@@ -303,8 +302,14 @@ def integer_roots(p: IntPoly) -> dict[int, int]:
 # -- numeric complex roots -------------------------------------------------------
 
 def _float_coeffs(p: IntPoly) -> list[float]:
+    """p scaled by its largest |coefficient|; raises RootFindingError when a
+    nonzero coefficient would not be a normal float."""
     scale = max(abs(c) for c in p.coeffs)
-    return [float(Fraction(c, scale)) for c in p.coeffs]
+    out = [float(Fraction(c, scale)) for c in p.coeffs]
+    if any(c and abs(x) < sys.float_info.min for c, x in zip(p.coeffs, out)):
+        raise RootFindingError("a nonzero coefficient underflows the float "
+                               "range after scaling")
+    return out
 
 
 def _aberth(coeffs: list[float]) -> tuple[list[complex], list[float]]:
@@ -389,9 +394,9 @@ def _residual(norm: list[float], z: complex) -> float:
 def backward_error(p: IntPoly, z: complex) -> float:
     """|p(z)| / sum_i |c_i||z|^i: relative residual of z as a root of p.
 
-    The c_i are power-basis coefficients; other bases are converted first.
+    The c_i are the power-basis coefficients of p.
     """
-    return _residual(_float_coeffs(convert_basis(p, POWER)), z)
+    return _residual(_float_coeffs(p), z)
 
 
 def complex_roots(p: IntPoly) -> list[tuple[complex, int]]:
@@ -404,7 +409,6 @@ def complex_roots(p: IntPoly) -> list[tuple[complex, int]]:
     _require_nonzero(p)
     if p.degree < 1:
         raise ValueError("complex_roots needs degree >= 1")
-    p = convert_basis(p, POWER)
     val, sf, factors = _squarefree(p)
     neg, _, pos = _profile(_sturm(sf), 1 if val else 0)
     return [(z, m) for z, m, _ in _complex_roots(p, val, factors, neg + pos)]
@@ -449,12 +453,11 @@ def max_root_modulus(p: IntPoly) -> float:
 def rouche_bound(p: IntPoly) -> Fraction:
     """Exact disk radius 1 + max_(i<d) |h_i| / |h_d| containing all roots.
 
-    The h_i are power-basis coefficients; other bases are converted first.
+    The h_i are the power-basis coefficients of p.
     """
     _require_nonzero(p)
     if p.degree == 0:
         return Fraction(1)
-    p = convert_basis(p, POWER)
     lead = abs(p.coeffs[-1])
     rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
     return 1 + Fraction(rest, lead)
@@ -502,7 +505,6 @@ def _fmt(x: float) -> str:
 def root_report(p: IntPoly) -> RootReport:
     """Every root fact of p, from one exact pass and one numeric pass."""
     _require_nonzero(p)
-    p = convert_basis(p, POWER)
     val, sf, factors = _squarefree(p)
     chain = _sturm(sf)
     neg, zero, pos = _profile(chain, 1 if val else 0)

@@ -3,7 +3,8 @@
 A similarity expression is built from integer literals, the triple symbols
 n, m, k, nu, rho and the indeterminates X1..X5 with +, -, * and ^.  Exponents
 are integer literals or indeterminate-free subexpressions, so evaluating an
-expression at a similarity triple always lands in a polynomial ring; two
+expression at a similarity triple lands in Z[X] when it names at most one
+indeterminate, or in Q at a point of rationals for the indeterminates; two
 graphs with the same triple get the same value by construction.
 
 Grammar::
@@ -25,15 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence, Union
 
 from .catalog import FAMILY_ARITY, family_polynomial
 from .graphs import Graph, SimilarityTriple, graph_to_graph6, similarity_triple
-from .polynomials import IntPoly, MultiPoly, evaluate, univariate_from_multi
+from .polynomials import X, IntPoly, MultiPoly, evaluate
 
 SYMBOLS = ("n", "m", "k", "nu", "rho")
-N_INDETERMINATES = 5
 
 
 class SimParseError(ValueError):
@@ -331,10 +330,17 @@ def eval_simexpr_scalar(e: SimExpr, t: SimilarityTriple) -> int:
 
 
 def eval_simexpr(e: SimExpr, t: SimilarityTriple) -> IntPoly:
-    """Evaluate to a univariate polynomial in the (single) indeterminate used."""
-    return univariate_from_multi(_evaluate(
-        e, t, partial(MultiPoly.constant, N_INDETERMINATES),
-        lambda v: MultiPoly.variable(N_INDETERMINATES, v.index), poles=False))
+    """Evaluate to a polynomial in X, the one indeterminate that e names;
+    naming two different indeterminates raises ValueError."""
+    named = set()
+
+    def var(v: Var) -> IntPoly:
+        named.add(v.index)
+        if len(named) > 1:
+            raise ValueError("expression mentions more than one indeterminate")
+        return X
+
+    return _evaluate(e, t, lambda c: IntPoly((c,)), var, poles=False)
 
 
 def eval_simexpr_at_point(e: SimExpr, t: SimilarityTriple,

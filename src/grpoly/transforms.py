@@ -77,14 +77,14 @@ def interleave_nonneg(p: IntPoly) -> IntPoly:
             out[2 * i] = h
         else:
             out[2 * i + 1] = -h
-    return IntPoly(tuple(out), p.basis)
+    return IntPoly(tuple(out))
 
 
 def deinterleave(q: IntPoly) -> IntPoly:
     """Exact inverse of interleave_nonneg: h_i = g_{2i} - g_{2i+1}."""
     n = (len(q.coeffs) + 1) // 2
     return IntPoly(tuple(q.coeff(2 * i) - q.coeff(2 * i + 1)
-                         for i in range(n)), q.basis)
+                         for i in range(n)))
 
 
 # -- realification ----------------------------------------------------------------
@@ -385,7 +385,7 @@ def permute_coefficients(p: IntPoly, perm: Sequence[int]) -> IntPoly:
         raise ValueError("perm must be a bijection on 0..s")
     if s < p.degree:
         raise ValueError(f"perm domain 0..{s} smaller than deg(p) = {p.degree}")
-    return IntPoly(tuple(p.coeff(perm[i]) for i in range(s + 1)), p.basis)
+    return IntPoly(tuple(p.coeff(perm[i]) for i in range(s + 1)))
 
 
 # -- named registry (CLI) -------------------------------------------------------------

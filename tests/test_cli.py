@@ -38,6 +38,18 @@ class TestPoly:
         obj = json.loads(out)
         assert obj["vars"] == ["X", "Y"]
 
+    @pytest.mark.parametrize("family", ["tutte", "matchingBiv"])
+    def test_csv_of_bivariate_family_is_usage_error(self, family, capsys):
+        code, out, err = run_cli(
+            ["poly", "--family", family, "--named", "complete:3",
+             "--format", "csv"], capsys)
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: family {family} is multivariate; --format csv needs "
+            "a univariate family"]
+
     def test_enumerated_source_line_count(self, capsys):
         code, out, _ = run_cli(
             ["poly", "--family", "independence", "--enum", "4"], capsys)

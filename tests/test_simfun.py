@@ -66,6 +66,13 @@ class TestEvaluation:
     def test_constant_one(self):
         assert eval_simexpr(parse_simexpr("1"), T441) == poly(1)
 
+    def test_any_one_indeterminate_reads_as_x(self):
+        assert eval_simexpr(parse_simexpr("X2"), T441) == poly(0, 1)
+
+    def test_two_indeterminates_rejected(self):
+        with pytest.raises(ValueError, match="more than one indeterminate"):
+            eval_simexpr(parse_simexpr("X1 + X2"), T441)
+
     def test_rank_symbol(self):
         assert eval_simexpr_scalar(parse_simexpr("rho"),
                                    SimilarityTriple(4, 3, 2)) == 2
