@@ -4,8 +4,9 @@ Subcommands: poly, roots, transform, equiv, prefactor, density, enum,
 scatter.  All numeric output is printed as decimal strings with fixed
 precision and results are printed in input order.
 
-Exit codes: 0 success, 1 verification did not PASS, 2 usage error, 3 numeric
-root finding failed (``RootFindingError``).
+Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
+malformed input (any ``ValueError`` or ``OSError``, such as a bad spec or an
+unreadable graph6 file), 3 numeric root finding failed (``RootFindingError``).
 """
 
 from __future__ import annotations

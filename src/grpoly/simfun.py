@@ -7,7 +7,7 @@ expression at a similarity triple lands in Z[X] when it names at most one
 indeterminate, or in Q at a point of rationals for the indeterminates; two
 graphs with the same triple get the same value by construction.
 
-Grammar::
+Grammar (tokens are ASCII digits, ASCII letters and ``+ - * ^ ( )``)::
 
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
@@ -19,11 +19,20 @@ The optional exponent sign is the one extension over the plain grammar: it
 expresses reciprocal substitutions like X1^-2.  Negative exponents are only
 legal on the point-evaluation path (pole-avoiding sampling); polynomial
 evaluation rejects them.
+
+A parsed ``SimExpr`` is a postfix program: a tuple of the instructions
+``("int", c)``, ``("sym", name)``, ``("var", i)`` (X1 is i = 0), ``("+",)``,
+``("-",)``, ``("*",)`` and ``("^", e)``, which raises the top of the stack to
+e, an int or the program of an indeterminate-free exponent.  A parenthesised
+literal exponent is stored as an int, so ``X1^(2) == X1^2``.  Programs compare
+and hash as tuples, and ``_run`` is the one loop that interprets them.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -33,6 +42,10 @@ from .graphs import Graph, SimilarityTriple, graph_to_graph6, similarity_triple
 from .polynomials import X, IntPoly, MultiPoly, evaluate
 
 SYMBOLS = ("n", "m", "k", "nu", "rho")
+
+SimExpr = tuple[tuple, ...]
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class SimParseError(ValueError):
@@ -45,93 +58,33 @@ class PoleError(ZeroDivisionError):
     """A substitution hit a pole of a reciprocal similarity function."""
 
 
-# -- AST ------------------------------------------------------------------------
-
-class _Node:
-    """Nodes compare and hash by their ``format_simexpr`` text, which
-    round-trips through the parser and is built without recursion."""
-
-    def __eq__(self, other):
-        return (isinstance(other, _Node)
-                and format_simexpr(self) == format_simexpr(other))
-
-    def __hash__(self):
-        return hash(format_simexpr(self))
-
-
-@dataclass(frozen=True, eq=False)
-class Lit(_Node):
-    value: int
-
-
-@dataclass(frozen=True, eq=False)
-class Sym(_Node):
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
-class Var(_Node):
-    index: int  # 0-based; X1 is index 0
-
-
-@dataclass(frozen=True, eq=False)
-class BinOp(_Node):
-    op: str  # '+', '-', '*'
-    left: "SimExpr"
-    right: "SimExpr"
-
-
-@dataclass(frozen=True, eq=False)
-class Pow(_Node):
-    base: "SimExpr"
-    exponent: Union[int, "SimExpr"]  # int may be negative (extension)
-
-
-SimExpr = Union[Lit, Sym, Var, BinOp, Pow]
-
-
 # -- tokenizer/parser -------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*^()")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*^()]))?")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise SimParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+    tokens, i = [], 0
+    while True:
+        m = _TOKEN.match(text, i)
+        i = m.end()
+        if m.lastgroup is None:
+            if i == len(text):
+                return tokens + [("EOF", "", i)]
+            raise SimParseError(f"unexpected character {text[i]!r}", i)
+        value = m.group(m.lastgroup)
+        kind = value if m.lastgroup == "OP" else m.lastgroup
+        tokens.append((kind, value, m.start(m.lastgroup)))
 
 
 class _Parser:
+    """Recursive descent that appends each instruction to one list."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.vars = 0  # Var nodes built so far
+        self.code: list[tuple] = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -148,66 +101,60 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> SimExpr:
-        e = self.expr()
+        self.expr()
         tok = self.peek()
         if tok[0] != "EOF":
             raise SimParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return e
+        return tuple(self.code)
 
-    def expr(self) -> SimExpr:
-        e = self.term()
+    def expr(self):
+        self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            e = BinOp(op, e, self.term())
-        return e
+            self.term()
+            self.code.append((op,))
 
-    def term(self) -> SimExpr:
-        e = self.factor()
+    def term(self):
+        self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            e = BinOp("*", e, self.factor())
-        return e
+            self.factor()
+            self.code.append(("*",))
 
-    def factor(self) -> SimExpr:
-        base = self.atom()
+    def factor(self):
+        self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            return Pow(base, self.exponent())
-        return base
+            self.code.append(("^", self.exponent()))
 
     def exponent(self) -> Union[int, SimExpr]:
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            val = self.expect("INT")
-            return -int(val[1])
-        if tok[0] == "INT":
-            self.advance()
-            return int(tok[1])
-        before = self.vars
-        e = self.atom()
-        if self.vars > before:
+            return -int(self.expect("INT")[1])
+        start = len(self.code)
+        self.atom()
+        exp = tuple(self.code[start:])
+        del self.code[start:]
+        if any(ins[0] == "var" for ins in exp):
             raise SimParseError("indeterminate in exponent", tok[2])
-        return e
+        return exp[0][1] if exp[0][0] == "int" and len(exp) == 1 else exp
 
-    def atom(self) -> SimExpr:
-        tok = self.advance()
-        kind, value, pos = tok
+    def atom(self):
+        kind, value, pos = self.advance()
         if kind == "INT":
-            return Lit(int(value))
-        if kind == "NAME":
-            if value in SYMBOLS:
-                return Sym(value)
-            if (len(value) == 2 and value[0] == "X"
-                    and value[1] in "12345"):
-                self.vars += 1
-                return Var(int(value[1]) - 1)
+            self.code.append(("int", int(value)))
+        elif kind == "NAME" and value in SYMBOLS:
+            self.code.append(("sym", value))
+        elif kind == "NAME" and re.fullmatch("X[1-5]", value):
+            self.code.append(("var", int(value[1]) - 1))
+        elif kind == "NAME":
             raise SimParseError(f"unknown name {value!r}", pos)
-        if kind == "(":
-            e = self.expr()
+        elif kind == "(":
+            self.expr()
             self.expect(")")
-            return e
-        raise SimParseError(f"unexpected token {value!r}", pos)
+        else:
+            raise SimParseError(f"unexpected token {value!r}", pos)
 
 
 def parse_simexpr(text: str) -> SimExpr:
@@ -219,108 +166,82 @@ def parse_simexpr(text: str) -> SimExpr:
                             parser.peek()[2]) from None
 
 
-_ATOMS = (Lit, Sym, Var)
-
-
-def _fold(e: SimExpr, leaf, binop, power):
-    """Post-order fold of e without recursion, so flat sums of any length
-    are safe: leaf(node) on atoms, binop(node, left, right) and
-    power(node, base) on the folded children.  A symbolic exponent is not
-    walked; ``power`` reads it from the node."""
-    order, stack = [], [e]  # node, right, left: post-order reversed
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, BinOp):
-            stack += (node.left, node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    out: list = []
-    for node in reversed(order):
-        if isinstance(node, _ATOMS):
-            out.append(leaf(node))
-        elif isinstance(node, BinOp):
-            right = out.pop()
-            out.append(binop(node, out.pop(), right))
-        elif isinstance(node, Pow):
-            out.append(power(node, out.pop()))
+def _run(e: SimExpr, atom, binary, power):
+    """Interpret the program e on one stack: atom(ins) for "int", "sym" and
+    "var", binary(op, a, b) for + - * and power(exponent, base) for ^."""
+    stack: list = []
+    for ins in e:
+        if ins[0] in _BINARY:
+            b = stack.pop()
+            stack.append(binary(ins[0], stack.pop(), b))
+        elif ins[0] == "^":
+            stack.append(power(ins[1], stack.pop()))
         else:
-            raise TypeError(f"not a SimExpr: {node!r}")
-    return out[0]
-
-
-def _binding(e: SimExpr) -> int:
-    """How tightly e binds: + and - loosest, then *, then ^, then atoms."""
-    if isinstance(e, BinOp):
-        return 2 if e.op == "*" else 1
-    return 3 if isinstance(e, Pow) else 4
+            stack.append(atom(ins))
+    return stack.pop()
 
 
 def format_simexpr(e: SimExpr) -> str:
-    """Inverse of parse_simexpr up to whitespace and redundant parentheses:
-    an operand is parenthesized when it binds looser than its operator, or as
-    loosely on the right (+ - * associate left; ^ takes atoms)."""
-    def wrap(text: str, node: SimExpr, limit: int) -> str:
-        return f"({text})" if _binding(node) <= limit else text
+    """Inverse of parse_simexpr up to whitespace and redundant parentheses.
 
-    def leaf(node) -> str:
-        if isinstance(node, Lit):
-            return str(node.value)
-        return node.name if isinstance(node, Sym) else f"X{node.index + 1}"
+    Each operand is a (text, binding) pair, binding 1 for + and -, 2 for *,
+    3 for ^ and 4 for atoms; an operand is parenthesized when it binds looser
+    than its operator, or as loosely on the right (+ - * associate left; ^
+    takes atoms)."""
+    def wrap(operand: tuple[str, int], limit: int) -> str:
+        text, binding = operand
+        return f"({text})" if binding <= limit else text
 
-    def binop(node: BinOp, left: str, right: str) -> str:
-        level = _binding(node)
-        return (f"{wrap(left, node.left, level - 1)} {node.op} "
-                f"{wrap(right, node.right, level)}")
+    def atom(ins) -> tuple[str, int]:
+        return (f"X{ins[1] + 1}" if ins[0] == "var" else str(ins[1]), 4)
 
-    def power(node: Pow, base: str) -> str:
-        exp = node.exponent
+    def binary(op: str, a, b) -> tuple[str, int]:
+        level = 2 if op == "*" else 1
+        return (f"{wrap(a, level - 1)} {op} {wrap(b, level)}", level)
+
+    def power(exp, base) -> tuple[str, int]:
         if not isinstance(exp, int):
-            exp = wrap(format_simexpr(exp), exp, 3)
-        return f"{wrap(base, node.base, 3)}^{exp}"
+            exp = wrap(_run(exp, atom, binary, power), 3)
+        return (f"{wrap(base, 3)}^{exp}", 3)
 
-    return _fold(e, leaf, binop, power)
+    return _run(e, atom, binary, power)[0]
 
 
 # -- evaluation -------------------------------------------------------------------
 
-def _resolve_exponent(e: Pow, t: SimilarityTriple) -> int:
-    if isinstance(e.exponent, int):
-        return e.exponent
-    val = eval_simexpr_scalar(e.exponent, t)
+def _resolve_exponent(exp: Union[int, SimExpr], t: SimilarityTriple) -> int:
+    if isinstance(exp, int):
+        return exp
+    val = eval_simexpr_scalar(exp, t)
     if val < 0:
-        raise ValueError(
-            f"symbolic exponent {format_simexpr(e.exponent)} = {val} < 0")
+        raise ValueError(f"symbolic exponent {format_simexpr(exp)} = {val} < 0")
     return val
 
 
 def _evaluate(e: SimExpr, t: SimilarityTriple, lift, var, poles: bool):
     """Evaluate e in the ring that ``lift`` maps integers into.
 
-    ``var`` gives the value of an indeterminate.  Negative exponents are
-    allowed only when ``poles`` is set, and then a zero base raises PoleError.
+    ``var`` gives the value of an indeterminate from its index.  Negative
+    exponents are allowed only when ``poles`` is set, and then a zero base
+    raises PoleError.
     """
-    def leaf(node):
-        if isinstance(node, Var):
-            return var(node)
-        value = node.value if isinstance(node, Lit) else getattr(t, node.name)
-        return lift(value)
+    def atom(ins):
+        if ins[0] == "var":
+            return var(ins[1])
+        return lift(ins[1] if ins[0] == "int" else getattr(t, ins[1]))
 
-    def binop(node: BinOp, a, b):
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-
-    def power(node: Pow, base):
-        exp = _resolve_exponent(node, t)
+    def power(exp, base):
+        exp = _resolve_exponent(exp, t)
         if exp < 0 and not poles:
             raise ValueError("negative exponent outside point evaluation")
         if exp < 0 and base == 0:
-            raise PoleError(f"{format_simexpr(node)} at a zero base")
+            raise PoleError(f"zero base raised to {exp}")
         return base ** exp
 
-    return _fold(e, leaf, binop, power)
+    return _run(e, atom, lambda op, a, b: _BINARY[op](a, b), power)
 
 
-def _no_indeterminates(node: Var):
+def _no_indeterminates(index: int):
     raise ValueError("expression mentions indeterminates")
 
 
@@ -334,8 +255,8 @@ def eval_simexpr(e: SimExpr, t: SimilarityTriple) -> IntPoly:
     naming two different indeterminates raises ValueError."""
     named = set()
 
-    def var(v: Var) -> IntPoly:
-        named.add(v.index)
+    def var(index: int) -> IntPoly:
+        named.add(index)
         if len(named) > 1:
             raise ValueError("expression mentions more than one indeterminate")
         return X
@@ -350,27 +271,27 @@ def eval_simexpr_at_point(e: SimExpr, t: SimilarityTriple,
     This is the path where negative exponents (reciprocal similarity
     functions) are allowed.
     """
-    def var(v: Var) -> Fraction:
-        if v.index >= len(point):
-            raise ValueError(f"point does not bind X{v.index + 1}")
-        return Fraction(point[v.index])
+    def var(index: int) -> Fraction:
+        if index >= len(point):
+            raise ValueError(f"point does not bind X{index + 1}")
+        return Fraction(point[index])
 
     return _evaluate(e, t, Fraction, var, poles=True)
 
 
 def _degree_bounds(e: SimExpr, t: SimilarityTriple) -> tuple[int, int]:
     """(max positive, max negative) total-degree bound in the indeterminates."""
-    def binop(node: BinOp, a, b):
-        if node.op == "*":
+    def binary(op: str, a, b):
+        if op == "*":
             return (a[0] + b[0], a[1] + b[1])
         return (max(a[0], b[0]), max(a[1], b[1]))
 
-    def power(node: Pow, base):
-        exp = _resolve_exponent(node, t)
+    def power(exp, base):
+        exp = _resolve_exponent(exp, t)
         return (base[0] * exp, base[1] * exp) if exp >= 0 \
             else (base[1] * -exp, base[0] * -exp)
 
-    return _fold(e, lambda node: (int(isinstance(node, Var)), 0), binop, power)
+    return _run(e, lambda ins: (int(ins[0] == "var"), 0), binary, power)
 
 
 # -- prefactor reductions -----------------------------------------------------------
@@ -469,7 +390,11 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
     The identity is rational in the indeterminates, so equality at
     degree-bound + 1 distinct non-pole points per variable proves it; the
     verifier enforces that count and reports INCONCLUSIVE when poles eat too
-    many sample points (distinct from FAIL).
+    many sample points (distinct from FAIL).  A graph needs
+    ``points_required`` = (degree bound + 1) ** arity valid points, since a
+    bivariate identity is sampled on a grid; the verdict reports that count
+    and ``min_valid_points`` for the graph with the least slack on PASS, and
+    for the graph that stopped the run on FAIL or INCONCLUSIVE.
     """
     arity_p = FAMILY_ARITY[spec.family_p]
     arity_q = FAMILY_ARITY[spec.family_q]
@@ -478,8 +403,11 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
             f"{spec.family_q} needs {arity_q} substitutions, "
             f"got {len(spec.subs)}")
 
-    min_valid = None
-    required_global = 0
+    def verdict(status, needed=0, valid=0, counterexample=None):
+        return ReductionVerdict(status, len(corpus), needed, valid,
+                                counterexample)
+
+    tightest = None  # (needed, valid) of the passing graph with least slack
     for g in corpus:
         t = similarity_triple(g)
         p_poly = family_polynomial(spec.family_p, g)
@@ -493,7 +421,7 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
         bounds = [_degree_bounds(s, t) for s in spec.subs]
         sp, sn = map(max, zip((0, 0), *bounds))
         required = max(max(dp, 0), fp + dq * sp) + fn + dq * sn + 1
-        required_global = max(required_global, required)
+        needed = required ** arity_p
 
         if points is not None:
             sample = [tuple(Fraction(x) for x in pt) for pt in points]
@@ -514,30 +442,14 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
             lhs = _eval_family(p_poly, pt)
             rhs = fval * _eval_family(q_poly, sub_vals)
             if lhs != rhs:
-                return ReductionVerdict(
-                    status="FAIL",
-                    graphs_checked=len(corpus),
-                    points_required=required_global,
-                    min_valid_points=valid,
-                    counterexample=Counterexample(
-                        graph_to_graph6(g), pt, lhs, rhs))
+                return verdict("FAIL", needed, valid, Counterexample(
+                    graph_to_graph6(g), pt, lhs, rhs))
             valid += 1
-        if min_valid is None or valid < min_valid:
-            min_valid = valid
-        needed = required if arity_p == 1 else required * required
         if valid < needed:
-            return ReductionVerdict(
-                status="INCONCLUSIVE",
-                graphs_checked=len(corpus),
-                points_required=needed,
-                min_valid_points=valid,
-                counterexample=None)
-    return ReductionVerdict(
-        status="PASS",
-        graphs_checked=len(corpus),
-        points_required=required_global,
-        min_valid_points=min_valid or 0,
-        counterexample=None)
+            return verdict("INCONCLUSIVE", needed, valid)
+        if tightest is None or valid - needed < tightest[1] - tightest[0]:
+            tightest = (needed, valid)
+    return verdict("PASS", *(tightest or ()))
 
 
 def _eval_family(poly, point: tuple[Fraction, ...]) -> Fraction:

@@ -208,6 +208,9 @@ def densify(p: IntPoly, t: SimilarityTriple, mode: str) -> IntPoly:
 
 # -- constructive density witness -----------------------------------------------------
 
+GRAPH6_UP_TO = 1000  # a witness graph with more vertices is written without graph6
+
+
 @dataclass(frozen=True)
 class DensityWitness:
     a: int
@@ -220,7 +223,7 @@ class DensityWitness:
     distance_sq: Fraction
     residual: float
 
-    def to_json_dict(self, include_graph6_up_to: int = 1000) -> dict:
+    def to_json_dict(self) -> dict:
         from .graphs import graph_to_graph6
         obj = {
             "a": self.a, "b": self.b, "c": self.c, "scale": self.scale,
@@ -232,7 +235,7 @@ class DensityWitness:
             "graph_n": self.graph.n,
             "graph6": None,
         }
-        if self.graph.n <= include_graph6_up_to:
+        if self.graph.n <= GRAPH6_UP_TO:
             obj["graph6"] = graph_to_graph6(self.graph)
         return obj
 

@@ -310,8 +310,8 @@ def test_criterion_13_cli_determinism():
          "--nmax", "4"],
     ]
     digests = []
-    for threads in ("1", "2", "2"):
-        env = dict(os.environ, GRPOLY_THREADS=threads)
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
         blob = b""
         for cmd in commands:
             proc = subprocess.run([sys.executable, "-m", "grpoly"] + cmd,
@@ -320,6 +320,6 @@ def test_criterion_13_cli_determinism():
             blob += proc.stdout
         digests.append(hashlib.sha256(blob).hexdigest())
     ok = len(set(digests)) == 1
-    _announce(13, ok, f"3 CLI runs (GRPOLY_THREADS=1,2,2) byte-identical: "
+    _announce(13, ok, f"3 CLI runs (PYTHONHASHSEED=0,1,2) byte-identical: "
                       f"sha256 {digests[0][:16]}...")
     assert len(set(digests)) == 1

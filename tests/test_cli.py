@@ -159,7 +159,7 @@ class TestPrefactor:
         assert json.loads(out)["status"] == "FAIL"
 
     def test_long_flat_sum(self, capsys):
-        # a left-deep chain of 5,000 BinOps, deeper than the recursion limit
+        # 5,000 terms: a tree of them would be deeper than the recursion limit
         spec = json.dumps({"family_p": "charA", "family_q": "charA",
                            "prefactor": "0*X1 + " * 4999 + "1",
                            "subs": ["X1"]})

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from grpoly.graphs import SimilarityTriple, enumerate_graphs, similarity_triple
-from grpoly.polynomials import poly
-from grpoly.simfun import (PoleError, ReductionSpec, SimParseError,
+from grpoly.polynomials import IntPoly, poly
+from grpoly.simfun import (SYMBOLS, PoleError, ReductionSpec, SimParseError,
                            eval_simexpr, eval_simexpr_at_point,
                            eval_simexpr_scalar, format_simexpr, parse_simexpr,
                            verify_prefactor_reduction)
@@ -38,6 +40,19 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(SimParseError):
             parse_simexpr("n + m )")
+
+    @pytest.mark.parametrize("text, pos", [
+        ("n^\u00b2", 2),  # superscript two
+        ("n^\u0663", 2),  # Arabic-Indic three
+        ("n\u00e9", 1),   # e acute
+    ])
+    def test_non_ascii_rejected_at_its_position(self, text, pos):
+        with pytest.raises(SimParseError, match="unexpected character") as exc:
+            parse_simexpr(text)
+        assert exc.value.pos == pos
+
+    def test_parenthesized_literal_exponent_is_an_int(self):
+        assert parse_simexpr("X1^(2)") == parse_simexpr("X1^2")
 
     @pytest.mark.parametrize("text", [
         "m - n + k",
@@ -113,7 +128,7 @@ class TestReductionSpecs:
         assert again == spec
 
     def test_long_flat_sum_compares_and_hashes(self):
-        # a left-deep chain of 5,000 BinOps, deeper than the recursion limit
+        # 5,000 terms: a tree of them would be deeper than the recursion limit
         text = "0*X1 + " * 4999 + "1"
         assert parse_simexpr(text) == parse_simexpr(text)
         assert hash(parse_simexpr(text)) == hash(parse_simexpr(text))
@@ -156,6 +171,17 @@ class TestVerifier:
             "matchingBiv", "matchingGen", "X2^n", ["X1 * X2^-2"])
         assert verify_prefactor_reduction(spec, CORPUS[:20]).status == "PASS"
 
+    @pytest.mark.parametrize("p, q, prefactor, sub, corpus", [
+        ("vertexCover", "independence", "X1^n", "X1^-1", CORPUS),
+        ("matchingDefect", "matchingGen", "X1^n", "0 - X1^-2", CORPUS),
+        ("matchingBiv", "matchingGen", "X2^n", "X1 * X2^-2", CORPUS[:18]),
+    ])
+    def test_pass_reports_enough_points(self, p, q, prefactor, sub, corpus):
+        spec = ReductionSpec.from_strings(p, q, prefactor, [sub])
+        verdict = verify_prefactor_reduction(spec, corpus)
+        assert verdict.status == "PASS"
+        assert verdict.min_valid_points >= verdict.points_required
+
     def test_all_points_poles_is_inconclusive(self):
         spec = ReductionSpec.from_strings(
             "vertexCover", "independence", "X1^n", ["X1^-1"])
@@ -163,3 +189,107 @@ class TestVerifier:
             spec, enumerate_graphs(2), points=[(Fraction(0),)])
         assert verdict.status == "INCONCLUSIVE"
         assert verdict.counterexample is None
+
+
+# -- independent oracle ------------------------------------------------------------
+
+class _Pole(Exception):
+    pass
+
+
+def _checked(value):
+    """Stop at the first subexpression that sympy evaluates to zoo or nan."""
+    if value in (sympy.zoo, sympy.nan):
+        raise _Pole
+    return value
+
+
+_SYMBOLIC_EXPONENTS = ("n", "m", "k", "nu", "rho", "(n - k)", "(m + 1)")
+
+
+def _random_expr(rng: random.Random, depth: int):
+    """(text, value, negative) of a random expression in the symbols and X1:
+    value(env) evaluates it node by node in sympy with env binding the
+    symbols and X1, and negative says whether a literal exponent is < 0."""
+    text, value, negative = _random_term(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        op = rng.choice("+-")
+        t2, v2, n2 = _random_term(rng, depth)
+        text = f"{text} {op} {t2}"
+        value = (lambda a, b, op: lambda env: _checked(
+            a(env) + b(env) if op == "+" else a(env) - b(env)))(value, v2, op)
+        negative |= n2
+    return text, value, negative
+
+
+def _random_term(rng, depth):
+    text, value, negative = _random_factor(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        t2, v2, n2 = _random_factor(rng, depth)
+        text = f"{text}*{t2}"
+        value = (lambda a, b: lambda env: _checked(a(env) * b(env)))(value, v2)
+        negative |= n2
+    return text, value, negative
+
+
+def _random_factor(rng, depth):
+    r = rng.random()
+    if r < 0.3:
+        c = rng.randint(0, 5)
+        text, value, negative = str(c), lambda env: sympy.Integer(c), False
+    elif r < 0.55 or (r < 0.8 and depth == 0):
+        name = rng.choice(SYMBOLS)
+        text, value, negative = name, lambda env: env[name], False
+    elif r < 0.8:
+        text, value, negative = "X1", lambda env: env["X1"], False
+    else:
+        inner, value, negative = _random_expr(rng, depth - 1)
+        text = f"({inner})"
+    r = rng.random()
+    if r < 0.5:
+        return text, value, negative
+    if r < 0.7:
+        exp = str(rng.randint(0, 3))
+    elif r < 0.85:
+        exp = str(-rng.randint(1, 2))
+    else:
+        exp = rng.choice(_SYMBOLIC_EXPONENTS)
+    return (f"{text}^{exp}",
+            lambda env: _checked(value(env) ** sympy.sympify(exp, locals=env)),
+            negative or exp.startswith("-"))
+
+
+ORACLE_TRIPLES = sorted({similarity_triple(g) for n in range(1, 5)
+                         for g in enumerate_graphs(n)},
+                        key=lambda t: (t.n, t.m, t.k))
+ORACLE_POINTS = (0, 1, -2, sympy.Rational(1, 3), sympy.Rational(-3, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_expressions_match_sympy(seed):
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    for _ in range(100):
+        text, value, negative = _random_expr(rng, 2)
+        t = rng.choice(ORACLE_TRIPLES)
+        env = {s: sympy.Integer(getattr(t, s)) for s in SYMBOLS}
+        e = parse_simexpr(text)
+        assert parse_simexpr(format_simexpr(e)) == e, text
+        if negative:
+            with pytest.raises(ValueError):
+                eval_simexpr(e, t)
+        else:
+            expected = sympy.Poly(sympy.expand(sympy.sympify(
+                text.replace("^", "**"), locals={**env, "X1": x})), x)
+            assert eval_simexpr(e, t) == IntPoly(tuple(
+                int(c) for c in reversed(expected.all_coeffs()))), (text, t)
+        for pt in map(sympy.Rational, ORACLE_POINTS):
+            point = (Fraction(int(pt.p), int(pt.q)),)
+            try:
+                expected = value({**env, "X1": pt})
+            except _Pole:
+                with pytest.raises(PoleError):
+                    eval_simexpr_at_point(e, t, point)
+                continue
+            assert eval_simexpr_at_point(e, t, point) == Fraction(
+                int(expected.p), int(expected.q)), (text, t, pt)
