@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ENUM_N = 8
 MAX_CANON_N = 10
@@ -311,66 +311,80 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # label-invariant signatures; the canonical form is the minimum upper-triangle
 # adjacency bitstring over all permutations that respect the cell order.  The
 # search is pruned against the best prefix found so far, and graphs whose
-# refinement is discrete (almost all of them) skip the search entirely.
+# refinement is discrete (almost all of them) skip the search entirely.  The
+# automorphisms the search meets on the way generate the graph's whole group:
+# a leaf that ties the best ordering maps one onto the other, and a skipped
+# twin stands for the transposition of the twins.
 
 def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
     """Equitable partition of the vertices, as cells in signature order.
 
-    Each round splits the non-singleton cells (bitmasks) by their vertices'
-    neighbour counts per cell, ordered as the sorted neighbour-colour tuples
-    (a colour is a cell's position) those counts expand to, until none splits.
+    A vertex's colour is the position of its cell.  Each round splits the
+    non-singleton cells by the sorted tuple of their vertices' neighbour
+    colours, parts in tuple order, until no cell splits.
     """
-    cells = [(1 << n) - 1]
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in masks]
+    cells = [list(range(n))]
     while True:
+        colour = [0] * n
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colour[v] = c
         split = []
         for cell in cells:
-            if cell & (cell - 1) == 0:
+            if len(cell) == 1:
                 split.append(cell)
                 continue
-            parts: dict[tuple[int, ...], int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                row = masks[low.bit_length() - 1]
-                key = tuple([(row & c).bit_count() for c in cells])
-                parts[key] = parts.get(key, 0) | low
-                rest ^= low
-            split.extend(parts[key] for key in sorted(
-                parts, key=lambda counts: tuple(
-                    c for c, k in enumerate(counts) for _ in range(k))))
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted([colour[u] for u in nbrs[v]])),
+                                 []).append(v)
+            split.extend(parts[key] for key in sorted(parts))
         if len(split) == len(cells):
-            break
+            return cells
         cells = split
-    return [[v for v in range(n) if cell >> v & 1] for cell in cells]
 
 
-def _canon_bits(n: int, masks: Sequence[int]) -> tuple[int, ...]:
+def _canon_search(n: int, masks: Sequence[int]
+                  ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical bits of the graph, and automorphisms (``perm[v]`` is v's
+    image) that generate its automorphism group."""
     if n == 1:
-        return ()
+        return (), []
     cells = _refine_cells(n, masks)
-    if all(len(c) == 1 for c in cells):
-        return tuple(_upper_bits(masks, [v for cell in cells for v in cell]))
+    if len(cells) == n:
+        return tuple(_upper_bits(masks, [c[0] for c in cells])), []
 
     cell_of_pos = []
     for cell in cells:
         cell_of_pos.extend([cell] * len(cell))
     best: list[int] | None = None
+    best_order: list[int] = []
+    autos: set[tuple[int, ...]] = set()
     placed = [0] * n
     used = [False] * n
     prefix: list[int] = []
 
     def dfs(i: int):
-        nonlocal best
+        nonlocal best, best_order
         if i == n:
             if best is None or prefix < best:
-                best = prefix.copy()
+                best, best_order = prefix.copy(), placed.copy()
+            elif prefix == best:
+                autos.add(tuple(v for _, v in sorted(zip(best_order, placed))))
             return
         tried: list[int] = []
         for v in cell_of_pos[i]:
+            if used[v]:
+                continue
             # a twin u of v already tried here gives the automorphism (u v),
             # which fixes the placed prefix, so v's subtree repeats u's
-            if used[v] or any((masks[u] ^ masks[v]) & ~(1 << u | 1 << v) == 0
-                              for u in tried):
+            twin = next((u for u in tried if (masks[u] ^ masks[v])
+                         & ~(1 << u | 1 << v) == 0), None)
+            if twin is not None:
+                perm = list(range(n))
+                perm[twin], perm[v] = v, twin
+                autos.add(tuple(perm))
                 continue
             tried.append(v)
             row = masks[v]
@@ -388,14 +402,14 @@ def _canon_bits(n: int, masks: Sequence[int]) -> tuple[int, ...]:
 
     dfs(0)
     assert best is not None
-    return tuple(best)
+    return tuple(best), list(autos)
 
 
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-complete canonical key for graphs with n <= 10."""
     if g.n > MAX_CANON_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_N}")
-    bits = _canon_bits(g.n, g.masks)
+    bits = _canon_search(g.n, g.masks)[0]
     packed = bytearray([g.n])
     for i in range(0, len(bits), 8):
         byte = 0
@@ -407,7 +421,7 @@ def canonical_form(g: Graph) -> bytes:
 
 def _upper_bits(masks: Sequence[int], order: Sequence[int]) -> list[int]:
     """Upper-triangle adjacency bits of the vertices listed in ``order``,
-    column by column: the bit order of graph6 and of ``_canon_bits``."""
+    column by column: the bit order of graph6 and of ``_canon_search``."""
     return [masks[v] >> u & 1 for i, v in enumerate(order) for u in order[:i]]
 
 
@@ -421,40 +435,67 @@ def _canon_graph(n: int, bits: Sequence[int]) -> Graph:
 # -- isomorph-free enumeration --------------------------------------------------
 #
 # Every graph on n vertices is an (n-1)-vertex graph plus one vertex joined to
-# some subset of it, so extending one representative per (n-1)-class by every
-# neighborhood reaches every n-class; the canonical key keeps one of each.
-# Only extensions whose new vertex maximizes (degree, sum of neighbour
-# degrees) over the extended graph reach the canonical form (the cheap
-# invariant test of McKay's canonical augmentation).  Every class still
-# arrives: delete a maximizing vertex v of any n-graph, and the
-# representative of what is left, extended by the image of v's neighbours,
-# is isomorphic to it with the new vertex in v's place.
+# some subset of it, so extending one representative per (n-1)-class reaches
+# every n-class; the canonical key keeps one of each.  Two subsets in one
+# orbit of the representative's automorphism group give isomorphic graphs,
+# so one subset per orbit is extended.  Only extensions whose new vertex
+# maximizes (degree, sum of neighbour degrees) over the extended graph reach
+# the canonical search (the invariant test of McKay's canonical
+# augmentation), and only subsets that leave no vertex of higher degree than
+# the new one are generated.  Every class still arrives: delete a maximizing
+# vertex v of any n-graph, and the representative of what is left, extended
+# by the image of v's neighbours, is isomorphic to it with the new vertex in
+# v's place.
 
 _ENUM_CACHE: dict[int, list[Graph]] = {}
+
+
+def _orbit_reps(subsets: Iterable[int], autos: Sequence[Sequence[int]]
+                ) -> Iterator[int]:
+    """The first bitmask of each orbit under the group that ``autos``
+    generate, among ``subsets`` (a union of orbits)."""
+    seen: set[int] = set()
+    for s in subsets:
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for perm in autos:
+                image = sum(1 << w for v, w in enumerate(perm) if t >> v & 1)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+        yield s
 
 
 def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
     """Canonical keys of the one-vertex extensions of the (n-1)-vertex masks.
 
-    An extension is kept only if its new vertex maximizes (degree, sum of
-    neighbour degrees) among all n vertices; some vertex of every graph does,
-    so the keys still cover every n-class.
+    The new vertex of degree k may join only vertices of degree below k, and
+    k runs from the largest degree up, so no vertex outranks it in degree;
+    among the rest, one neighbourhood per automorphism orbit is kept if the
+    new vertex also maximizes (degree, sum of neighbour degrees).
     """
     keys: set[tuple[int, ...]] = set()
     new_bit = 1 << (n - 1)
     for adj in reps:
-        for nb in range(1 << (n - 1)):
-            ext = [row | new_bit if nb >> i & 1 else row
-                   for i, row in enumerate(adj)]
-            ext.append(nb)
-            deg = [row.bit_count() for row in ext]
-            if max(deg) > deg[-1]:
-                continue
-            around = [sum(deg[u] for u in range(n) if row >> u & 1)
-                      if deg[v] == deg[-1] else 0 for v, row in enumerate(ext)]
-            if max(around) > around[-1]:
-                continue
-            keys.add(_canon_bits(n, ext))
+        autos = _canon_search(n - 1, adj)[1]
+        base = [row.bit_count() for row in adj]
+        for k in range(max(base), n):
+            low = [1 << v for v in range(n - 1) if base[v] < k]
+            for nb in _orbit_reps(map(sum, itertools.combinations(low, k)),
+                                  autos):
+                ext = [row | new_bit if nb >> i & 1 else row
+                       for i, row in enumerate(adj)]
+                ext.append(nb)
+                deg = [row.bit_count() for row in ext]
+                around = [sum(deg[u] for u in range(n) if row >> u & 1)
+                          if deg[v] == k else 0 for v, row in enumerate(ext)]
+                if max(around) > around[-1]:
+                    continue
+                keys.add(_canon_search(n, ext)[0])
     return keys
 
 
@@ -465,8 +506,10 @@ def _enumerate_classes(n: int) -> list[Graph]:
         keys = {()}  # the one-vertex graph has no adjacency bits
     else:
         keys = _augment([g.masks for g in _enumerate_classes(n - 1)], n)
-    graphs = sorted((_canon_graph(n, bits) for bits in keys),
-                    key=lambda g: (g.m, graph_to_graph6(g)))
+    # a canonical graph's graph6 packs its bits in order, so (edge count,
+    # bits) sorts as (edge count, graph6)
+    graphs = [_canon_graph(n, bits)
+              for bits in sorted(keys, key=lambda bits: (sum(bits), bits))]
     _ENUM_CACHE[n] = graphs
     return graphs
 
@@ -475,10 +518,12 @@ def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
                      ) -> list[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
-    Grown from the one-vertex graph by single-vertex augmentation with
-    canonical dedup at every order.  Deterministic order: by edge count, then
-    by graph6 string of the canonical labeling.  ``mk=(m, k)`` restricts the
-    output to graphs with that edge and component count.
+    Grown from the one-vertex graph by single-vertex augmentation: each
+    (n-1)-class representative is extended by one neighbourhood per orbit of
+    its automorphism group, and the canonical key keeps one graph per class.
+    Deterministic order: by edge count, then by graph6 string of the
+    canonical labeling.  ``mk=(m, k)`` restricts the output to graphs with
+    that edge and component count.
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
@@ -497,7 +542,7 @@ def tree_shapes_by_prufer(n: int, processes: int | None = None) -> list[Graph]:
     Grown from the one-vertex tree by adding a leaf on every vertex of every
     (k-1)-shape, for k = 2..n, which reaches every k-shape (strip any leaf of
     a k-tree).  The first tree found of each isomorphism class is kept; the
-    classes are told apart by ``_canon_bits``, the key graph enumeration
+    classes are told apart by ``_canon_search``, the key graph enumeration
     uses, called directly so that n is not capped at ``MAX_CANON_N``.
     ``processes`` is ignored; it stays only because the benchmark worker
     (``perfbench/worker.py``) still passes it.
@@ -510,6 +555,6 @@ def tree_shapes_by_prufer(n: int, processes: int | None = None) -> list[Graph]:
         for t in shapes:
             for v in range(k - 1):
                 grown = graph(k, [*t.edges, (v, k - 1)])
-                found.setdefault(_canon_bits(k, grown.masks), grown)
+                found.setdefault(_canon_search(k, grown.masks)[0], grown)
         shapes = list(found.values())
     return sorted(shapes, key=graph_to_graph6)

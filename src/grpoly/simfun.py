@@ -100,6 +100,14 @@ class _Parser:
             raise SimParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return self.advance()
 
+    def literal(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # past Python's int-from-text digit limit
+            raise SimParseError(
+                f"integer literal of {len(tok[1])} digits is too long",
+                tok[2]) from None
+
     def parse(self) -> SimExpr:
         self.expr()
         tok = self.peek()
@@ -131,7 +139,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return -int(self.expect("INT")[1])
+            return -self.literal(self.expect("INT"))
         start = len(self.code)
         self.atom()
         exp = tuple(self.code[start:])
@@ -141,9 +149,9 @@ class _Parser:
         return exp[0][1] if exp[0][0] == "int" and len(exp) == 1 else exp
 
     def atom(self):
-        kind, value, pos = self.advance()
+        tok = kind, value, pos = self.advance()
         if kind == "INT":
-            self.code.append(("int", int(value)))
+            self.code.append(("int", self.literal(tok)))
         elif kind == "NAME" and value in SYMBOLS:
             self.code.append(("sym", value))
         elif kind == "NAME" and re.fullmatch("X[1-5]", value):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from grpoly.cli import main
-from grpoly.graphs import (Graph, Graph6Error, _refine_cells,
+from grpoly.graphs import (Graph, Graph6Error, _canon_search, _orbit_reps,
+                           _refine_cells,
                            build_graph_with_parameters,
                            canonical_form, complement, connected_components,
                            disjoint_union, enumerate_graphs, graph,
@@ -24,6 +25,24 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < 0.5]
     return graph(n, edges)
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def generated_group_order(n: int, perms) -> int:
+    """Order of the permutation group that ``perms`` generate, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for p in perms:
+            h = tuple(p[g[v]] for v in range(n))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
 
 
 class TestGraphValue:
@@ -276,6 +295,53 @@ class TestRefinement:
                          for i, row in enumerate(g.masks)] + [nb]
                 assert _refine_cells(8, masks) == \
                     refine_cells_reference(8, masks)
+
+
+class TestAutomorphisms:
+    def test_maps_are_automorphisms(self):
+        rng = random.Random(13)
+        cases = [named_graph(f, 8) for f in ("complete", "cycle", "path",
+                                             "edgeless")]
+        cases.append(named_graph("star", 7))
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                cases.append(relabeled(g, perm))
+        for g in cases:
+            for perm in _canon_search(g.n, g.masks)[1]:
+                assert sorted(perm) == list(range(g.n))
+                assert {tuple(sorted((perm[u], perm[v])))
+                        for u, v in g.edges} == g.edges
+
+    def test_maps_generate_the_whole_group(self):
+        rng = random.Random(17)
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = relabeled(g, perm)
+                    autos = _canon_search(n, h.masks)[1]
+                    nxg = nx.Graph(list(h.edges))
+                    nxg.add_nodes_from(range(n))
+                    order = sum(1 for _ in nx.algorithms.isomorphism
+                                .GraphMatcher(nxg, nxg).isomorphisms_iter())
+                    assert generated_group_order(n, autos) == order
+
+    def test_orbit_representatives_reach_every_extension_class(self):
+        def key(g, nb):
+            masks = [row | 1 << 6 if nb >> i & 1 else row
+                     for i, row in enumerate(g.masks)] + [nb]
+            return _canon_search(7, masks)[0]
+
+        kept = 0
+        for g in enumerate_graphs(6):
+            reps = list(_orbit_reps(range(64), _canon_search(6, g.masks)[1]))
+            kept += len(reps)
+            assert {key(g, nb) for nb in reps} == \
+                {key(g, nb) for nb in range(64)}
+        assert kept < 156 * 64
 
 
 class TestEnumeration:

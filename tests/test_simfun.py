@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from grpoly.graphs import SimilarityTriple, enumerate_graphs, similarity_triple
+from grpoly.graphs import (SimilarityTriple, enumerate_graphs, named_graph,
+                           similarity_triple)
 from grpoly.polynomials import IntPoly, poly
 from grpoly.simfun import (SYMBOLS, PoleError, ReductionSpec, SimParseError,
+                           _degree_bounds,
                            eval_simexpr, eval_simexpr_at_point,
                            eval_simexpr_scalar, format_simexpr, parse_simexpr,
                            verify_prefactor_reduction)
@@ -48,6 +50,15 @@ class TestParser:
     ])
     def test_non_ascii_rejected_at_its_position(self, text, pos):
         with pytest.raises(SimParseError, match="unexpected character") as exc:
+            parse_simexpr(text)
+        assert exc.value.pos == pos
+
+    @pytest.mark.parametrize("text, pos", [
+        ("n + " + "1" * 5000, 4),
+        ("X1^-" + "2" * 5000, 4),
+    ])
+    def test_overlong_literal_rejected_at_its_position(self, text, pos):
+        with pytest.raises(SimParseError, match="5000 digits") as exc:
             parse_simexpr(text)
         assert exc.value.pos == pos
 
@@ -181,6 +192,20 @@ class TestVerifier:
         verdict = verify_prefactor_reduction(spec, corpus)
         assert verdict.status == "PASS"
         assert verdict.min_valid_points >= verdict.points_required
+
+    def test_reciprocal_prefactor_degree_bounds(self):
+        # (X^-1 + 1)^n has degree 0 in X and degree n in 1/X
+        e = parse_simexpr("(X1^-1 + 1)^n")
+        for t in (T441, T542):
+            assert _degree_bounds(e, t) == (0, t.n)
+        # I(E3; X) = (1 + X)^3 against (X^-1 + 1)^3 (1 + X)^3 fails at X = 1;
+        # E3 needs max(3, 0 + 3 * 1) + 3 + 1 = 7 points
+        spec = ReductionSpec.from_strings(
+            "independence", "independence", "(X1^-1 + 1)^n", ["X1"])
+        verdict = verify_prefactor_reduction(
+            spec, [named_graph("edgeless", 3)])
+        assert verdict.status == "FAIL"
+        assert verdict.points_required == 7
 
     def test_all_points_poles_is_inconclusive(self):
         spec = ReductionSpec.from_strings(
