@@ -8,10 +8,9 @@ from .graphs import (Graph, SimilarityTriple, build_graph_with_parameters,
 from .polynomials import (IntPoly, MultiPoly, RatPoly, convert_basis,
                           evaluate, from_roots, poly, reverse_coefficients,
                           substitute)
-from .catalog import (catalog_identities, char_poly, chromatic_poly,
-                      family_polynomial, matching_counts, matching_poly,
-                      spanning_tree_count, subset_counting_poly, tutte_poly,
-                      universal_tutte_check)
+from .catalog import (char_poly, chromatic_poly, family_polynomial,
+                      matching_counts, matching_poly, spanning_tree_count,
+                      subset_counting_poly, tutte_poly)
 from .roots import (complex_roots, integer_roots, is_real_rooted,
                     root_report, rouche_bound, sign_profile, sturm_count)
 from .simfun import (ReductionSpec, eval_simexpr, parse_simexpr,

@@ -3,26 +3,24 @@
 Every family is computed exactly: characteristic polynomials of the
 adjacency/Laplacian/cycle matrices by Faddeev-LeVerrier over arbitrary
 precision integers, the matching family by the delete/shrink recursion on
-edges, the Tutte polynomial by memoized deletion-contraction over
-parallel-edge bundles, and the chromatic polynomial and the subset-counting
-families (independence, clique, vertex cover, domination, edge cover) from
-tables over the 2^n vertex subsets, each entry filled from the entry with the
-lowest vertex removed.  Family names double as the stable CLI/JSON identifiers.
+edges, memoized on the remaining edges, the Tutte polynomial by memoized
+deletion-contraction over parallel-edge bundles, and the chromatic polynomial
+and the subset-counting families (independence, clique, vertex cover,
+domination, edge cover) from tables over the 2^n vertex subsets, each entry
+filled from the entry with the lowest vertex removed.  Family names double as
+the stable CLI/JSON identifiers.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import compress, count
 from math import comb
 from typing import Callable, Iterable, Sequence, Union
 
-from .graphs import Graph, complement, similarity_triple
-from .polynomials import (FALLING, POWER, IntPoly, MultiPoly, convert_basis,
-                          reverse_coefficients)
+from .graphs import Graph, complement
+from .polynomials import FALLING, POWER, IntPoly, MultiPoly, convert_basis
 
 CHROMATIC_MAX_N = 10
 TUTTE_MAX_N = 9
@@ -138,22 +136,29 @@ def spanning_tree_count(g: Graph) -> int:
 # -- matchings ------------------------------------------------------------------
 
 def matching_counts(g: Graph) -> tuple[int, ...]:
-    """(m_0, m_1, ...): number of k-edge matchings, via m(G)=m(G-e)+m(G-{u,v})."""
+    """(m_0, m_1, ...): number of k-edge matchings, via m(G)=m(G-e)+m(G-{u,v}).
+
+    Results are memoized on the remaining-edge tuple for the duration of one
+    call, so a path makes linearly many calls instead of Fibonacci-many.
+    """
+    memo: dict[tuple, list[int]] = {}
+
     def rec(edges: tuple[tuple[int, int], ...]) -> list[int]:
         if not edges:
             return [1]
+        hit = memo.get(edges)
+        if hit is not None:
+            return hit
         (u, v), rest = edges[0], edges[1:]
         skip = rec(rest)
         use = rec(tuple(e for e in rest if u not in e and v not in e))
         out = skip + [0] * (len(use) + 1 - len(skip))
         for i, c in enumerate(use):
             out[i + 1] += c
+        memo[edges] = out
         return out
 
-    counts = rec(tuple(g.sorted_edges()))
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+    return tuple(rec(tuple(g.sorted_edges())))
 
 
 def matching_poly(g: Graph, variant: str) -> Union[IntPoly, MultiPoly]:
@@ -264,28 +269,6 @@ def tutte_poly(g: Graph) -> MultiPoly:
     return MultiPoly.from_dict(2, _tutte(bundles, {}))
 
 
-def universal_tutte_check(g: Graph, point: Sequence[Fraction]) -> bool:
-    """Consistency of the five-variable prefactor form of the Tutte polynomial.
-
-    At an exact rational point (X, Y, U, V, W) with U, W nonzero, compares
-    U^k V^nu W^rho T(G; UX/W, Y/U) evaluated from the stored bivariate Tutte
-    polynomial against the direct monomial expansion with exponents
-    (i, j, k+i-j, nu, rho-i).
-    """
-    x, y, u, v, w = (Fraction(c) for c in point)
-    if u == 0 or w == 0:
-        raise ZeroDivisionError("U and W must be nonzero")
-    t = similarity_triple(g)
-    tut = tutte_poly(g)
-    lhs = (u ** t.k * v ** t.nu * w ** t.rho
-           * tut.evaluate((u * x / w, y / u)))
-    rhs = Fraction(0)
-    for (i, j), c in tut.terms:
-        rhs += (c * x ** i * y ** j * u ** (t.k + i - j) * v ** t.nu
-                * w ** (t.rho - i))
-    return lhs == rhs
-
-
 # -- subset-counting families -----------------------------------------------------
 
 SUBSET_FAMILIES = ("independence", "clique", "vertexCover", "domination",
@@ -358,58 +341,6 @@ def _edge_cover_poly(g: Graph) -> IntPoly:
         signed[inside[s]] += -1 if (g.n - s.bit_count()) % 2 else 1
     return IntPoly(tuple(sum(c * comb(k, i) for k, c in enumerate(signed))
                          for i in range(g.m + 1)))
-
-
-# -- identities -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityReport:
-    clique_matches_complement_independence: bool
-    vertex_cover_matches_reversed_independence: bool
-    independence_at_one: int
-    clique_at_one: int
-    vertex_cover_at_one: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.clique_matches_complement_independence
-                and self.vertex_cover_matches_reversed_independence)
-
-    def counts_without_empty_set(self) -> dict[str, int]:
-        """The same evaluations under the convention that drops the empty set."""
-        return {
-            "independence_at_one": self.independence_at_one - 1,
-            "clique_at_one": self.clique_at_one - 1,
-            "vertex_cover_at_one": self.vertex_cover_at_one,
-        }
-
-
-def catalog_identities(g: Graph) -> IdentityReport:
-    """Exact checks Cl(G) = In(complement G) and Vc(G) = X^n In(G; 1/X)."""
-    ind = subset_counting_poly(g, "independence")
-    cli = subset_counting_poly(g, "clique")
-    vc = subset_counting_poly(g, "vertexCover")
-    mismatches = []
-    cl_expected = subset_counting_poly(complement(g), "independence")
-    if cli != cl_expected:
-        mismatches.append(
-            f"clique {list(cli.coeffs)} != complement independence "
-            f"{list(cl_expected.coeffs)}")
-    vc_expected = reverse_coefficients(ind, g.n)
-    if vc != vc_expected:
-        mismatches.append(
-            f"vertexCover {list(vc.coeffs)} != reversed independence "
-            f"{list(vc_expected.coeffs)}")
-    at1 = lambda p: sum(p.coeffs)
-    return IdentityReport(
-        clique_matches_complement_independence=cli == cl_expected,
-        vertex_cover_matches_reversed_independence=vc == vc_expected,
-        independence_at_one=at1(ind),
-        clique_at_one=at1(cli),
-        vertex_cover_at_one=at1(vc),
-        mismatches=tuple(mismatches),
-    )
 
 
 # -- family registry ----------------------------------------------------------------

@@ -6,7 +6,9 @@ precision and results are printed in input order.
 
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
 malformed input (any ``ValueError`` or ``OSError``, such as a bad spec or an
-unreadable graph6 file), 3 numeric root finding failed (``RootFindingError``).
+unreadable graph6 file) or an input too deep for Python's recursion limit
+(``RecursionError``, such as matchingGen of path:1200), 3 numeric root
+finding failed (``RootFindingError``).
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RootFindingError as exc:

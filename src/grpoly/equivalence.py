@@ -50,19 +50,13 @@ def _resolve(family: Family) -> tuple[str, Callable]:
     return family, lambda g, name=family: family_polynomial(name, g)
 
 
-def _value_key(value: Union[IntPoly, MultiPoly]):
-    if isinstance(value, IntPoly):
-        return ("u", value.coeffs)
-    return ("m", value.arity, value.terms)
-
-
 def value_partition(family: Family, cls: SimilarityClass
                     ) -> list[list[Graph]]:
     """Fibers of the family map on one class, in first-seen member order."""
     _, fn = _resolve(family)
     blocks: dict = {}
     for g in cls.members:
-        blocks.setdefault(_value_key(fn(g)), []).append(g)
+        blocks.setdefault(fn(g), []).append(g)
     return list(blocks.values())
 
 
@@ -93,19 +87,19 @@ def _value_json(value: Union[IntPoly, MultiPoly]):
     return {"arity": value.arity, **poly_wire(value)}
 
 
-def _first_violation(q_keys: Sequence, p_keys: Sequence
+def _first_violation(q_values: Sequence, p_values: Sequence
                      ) -> Optional[tuple[int, int]]:
-    """First index pair with equal Q-key and different P-key, or None.
+    """First index pair with equal Q-value and different P-value, or None.
 
     Q-blocks are taken in first-seen order and each block's first member is
     compared with every later member of that block.
     """
     blocks: dict = {}
-    for i, key in enumerate(q_keys):
-        blocks.setdefault(key, []).append(i)
+    for i, value in enumerate(q_values):
+        blocks.setdefault(value, []).append(i)
     for first, *rest in blocks.values():
         for other in rest:
-            if p_keys[first] != p_keys[other]:
+            if p_values[first] != p_values[other]:
                 return first, other
     return None
 
@@ -130,8 +124,7 @@ def dp_transfer(p: Family, q: Family, cls: SimilarityClass
     _, qf = _resolve(q)
     p_values = [pf(g) for g in cls.members]
     q_values = [qf(g) for g in cls.members]
-    pair = _first_violation([_value_key(v) for v in q_values],
-                            [_value_key(v) for v in p_values])
+    pair = _first_violation(q_values, p_values)
     if pair is None:
         return True, None
     return False, _witness(cls, pair, p_values, q_values)
@@ -170,11 +163,10 @@ def dp_compare(left: Family, right: Family, nmax: int) -> EquivalenceVerdict:
         if not any(forces):
             break
         values = [[f(g) for g in cls.members] for f in (lf, rf)]
-        keys = [[_value_key(v) for v in vals] for vals in values]
         for d in (0, 1):
             if not forces[d]:
                 continue
-            pair = _first_violation(keys[d], keys[1 - d])
+            pair = _first_violation(values[d], values[1 - d])
             if pair is not None:
                 forces[d] = False
                 witnesses.append(_witness(cls, pair, *values))

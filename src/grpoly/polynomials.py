@@ -292,7 +292,8 @@ def divide_out_root(coeffs: Sequence[int], r: int
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse exact-integer polynomial in up to 5 variables.
+    """Sparse exact-integer polynomial: the bivariate term table of tutte and
+    matchingBiv (the constructor accepts arity 1 to 5).
 
     Terms are stored as a sorted tuple of (exponent-vector, coefficient)
     pairs so values are hashable and comparable by ==.

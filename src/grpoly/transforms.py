@@ -240,16 +240,6 @@ class DensityWitness:
         return obj
 
 
-def eval_at_gaussian(p: IntPoly, re: Fraction, im: Fraction
-                     ) -> tuple[Fraction, Fraction]:
-    """Exact Horner evaluation at the Gaussian rational re + im*i."""
-    acc_re, acc_im = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        acc_re, acc_im = (acc_re * re - acc_im * im + c,
-                          acc_re * im + acc_im * re)
-    return acc_re, acc_im
-
-
 def _approximate_target(re: Fraction, im: Fraction, eps: Fraction
                         ) -> tuple[int, int, int]:
     """Pairwise-distinct positive a, b, c with |(a+bi)/c - target| < eps.
@@ -312,12 +302,9 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
     triple = SimilarityTriple(v, e, k)
     root_re, root_im = Fraction(a, c), Fraction(b, c)
 
-    # the factor for the bijection (a,b,c) -> (scale*a, scale*b, scale*c)
-    # vanishes exactly at (a+bi)/c; confirm and report the backward error
-    # of the root in the full degree-12 product.
-    factor = IntPoly((a * a + b * b, -2 * a * c, c * c))
-    fr, fi = eval_at_gaussian(factor, root_re, root_im)
-    assert fr == 0 and fi == 0
+    # quadrant_factor(a, b, c), up to the common scale, divides the product
+    # and vanishes exactly at (a+bi)/c; report the root's backward error in
+    # the full degree-12 product.
     residual = backward_error(quadrant_prefactor(triple, "right"),
                               complex(root_re, root_im))
     dist = (root_re - re) ** 2 + (root_im - im) ** 2

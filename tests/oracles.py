@@ -257,3 +257,13 @@ def prufer_tree_shapes(n: int) -> dict[str, list[tuple[int, int]]]:
         edges = prufer_decode_reference(code, n)
         shapes.setdefault(tree_code(n, edges), edges)
     return shapes
+
+
+def eval_at_gaussian(p: IntPoly, re: Fraction, im: Fraction
+                     ) -> tuple[Fraction, Fraction]:
+    """Exact Horner evaluation at the Gaussian rational re + im*i."""
+    acc_re, acc_im = Fraction(0), Fraction(0)
+    for c in reversed(p.coeffs):
+        acc_re, acc_im = (acc_re * re - acc_im * im + c,
+                          acc_re * im + acc_im * re)
+    return acc_re, acc_im

@@ -1,17 +1,18 @@
-"""Exact checks of two cited root-location theorems on every graph, n <= 8.
+"""Exact checks of three cited root-location theorems on every graph, n <= 8.
 
-Both claims are statements about real roots, so the exact layer decides them
-with no numerics: half-open Sturm counts over (a, b] plus the exact integer
-roots for the open endpoints.  A failure here is a reproduction discrepancy
-to report, not a tolerance to tune.
+All three claims are statements about real roots, so the exact layer decides
+them with no numerics: half-open Sturm counts over (a, b] plus the exact
+integer roots for the open endpoints.  A failure here is a reproduction
+discrepancy to report, not a tolerance to tune.
 """
 
 import itertools
 from fractions import Fraction
 from math import inf
 
-from grpoly.catalog import chromatic_poly, subset_counting_poly
+from grpoly.catalog import chromatic_poly, matching_poly, subset_counting_poly
 from grpoly.graphs import Graph, enumerate_graphs, graph_to_graph6
+from grpoly.polynomials import IntPoly
 from grpoly.roots import integer_roots, is_real_rooted, sturm_count
 
 GRAPHS = [g for n in range(1, 9) for g in enumerate_graphs(n)]
@@ -58,3 +59,24 @@ def test_chudnovsky_seymour_claw_free_real_rooted():
           f"{clawed_real} of {len(clawed)} graphs with a claw real-rooted")
     assert bad == []
     assert (len(claw_free), len(clawed), clawed_real) == (1715, 11883, 8124)
+
+
+def test_heilmann_lieb_matching_roots_bounded():
+    # Heilmann & Lieb 1972: for maximum degree D >= 2 every root of the
+    # matching (defect) polynomial lies in [-2 sqrt(D-1), 2 sqrt(D-1)].
+    # mu(x) = x^(n mod 2) r(x^2), so the claim is that r has no root in
+    # (4(D-1), inf); mu is real-rooted, so the roots of r are real and >= 0.
+    checked, violations = 0, []
+    for g in GRAPHS:
+        top = max(g.degree(v) for v in range(g.n))
+        if top < 2:
+            continue
+        r = IntPoly(matching_poly(g, "defect").coeffs[g.n % 2::2])
+        if sturm_count(r, (4 * (top - 1), inf)) != 0:
+            violations.append(graph_to_graph6(g))
+        checked += 1
+    print(f"Heilmann-Lieb 1972: {len(violations)} violations on {checked} "
+          f"graphs with n <= 8 and max degree >= 2 {violations}")
+    # the 24 graphs with max degree <= 1 are partial matchings
+    assert checked == len(GRAPHS) - 24
+    assert violations == []

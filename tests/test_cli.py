@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,32 @@ class TestPoly:
         assert code == 2
         assert out == ""
         assert "subset family cap is n <= 24" in err
+
+    @pytest.mark.parametrize("family, n, digest", [
+        ("matchingGen", 8, "242969c2b8ef5368fcb24ee12e054a25"
+                           "ae46efe15fda30cd6ad1ee215df896bc"),
+        ("matchingDefect", 8, "8ac3cf315c8ff54655e57dcf66c59ece"
+                              "fcff9d19c82343e75ee3589a67c2eca7"),
+        ("matchingBiv", 7, "d266fa45f88f945b7a812101afca0360"
+                           "00b69c0cacb223d9f4e9d4449d088016"),
+    ], ids=["matchingGen", "matchingDefect", "matchingBiv"])
+    def test_matching_stdout_digest(self, family, n, digest, capsys):
+        code, out, _ = run_cli(
+            ["poly", "--family", family, "--enum", str(n)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_recursion_limit_exits_two(self, capsys):
+        # the matching recursion takes one frame per edge
+        code, out, err = run_cli(
+            ["poly", "--family", "matchingGen", "--named", "path:1200"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "recursion depth" in errors[0]
+        assert "Traceback" not in err
 
 
 class TestEnum:

@@ -16,13 +16,13 @@ from grpoly.roots import (complex_roots, integer_roots, is_real_rooted,
 from grpoly.transforms import (DensityCapError, TransformRecord,
                                apply_named_transform,
                                deinterleave, dense_real_prefactor, densify,
-                               density_witness, eval_at_gaussian,
-                               interleave_nonneg, negate_variable,
+                               density_witness, interleave_nonneg, negate_variable,
                                permute_coefficients, quadrant_factor,
                                quadrant_prefactor, realify,
                                realify_rootencode, recover_coefficients,
                                remap_roots, rouche_scale, scale_for_graph,
                                square_variable)
+from oracles import eval_at_gaussian
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(
     lambda cs: IntPoly(tuple(cs)))
