@@ -138,27 +138,32 @@ def spanning_tree_count(g: Graph) -> int:
 def matching_counts(g: Graph) -> tuple[int, ...]:
     """(m_0, m_1, ...): number of k-edge matchings, via m(G)=m(G-e)+m(G-{u,v}).
 
-    Results are memoized on the remaining-edge tuple for the duration of one
-    call, so a path makes linearly many calls instead of Fibonacci-many.
+    e is the first remaining edge.  Memoized on the mask of remaining edges,
+    with a stack for recursion, so a path takes linearly many steps.
     """
-    memo: dict[tuple, list[int]] = {}
-
-    def rec(edges: tuple[tuple[int, int], ...]) -> list[int]:
-        if not edges:
-            return [1]
-        hit = memo.get(edges)
-        if hit is not None:
-            return hit
-        (u, v), rest = edges[0], edges[1:]
-        skip = rec(rest)
-        use = rec(tuple(e for e in rest if u not in e and v not in e))
+    edges = g.sorted_edges()
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    top = (1 << len(edges)) - 1
+    memo: dict[int, list[int]] = {0: [1]}
+    stack = [top]
+    while top not in memo:
+        left = stack.pop()
+        low = left & -left
+        u, v = edges[low.bit_length() - 1]
+        rest = left ^ low
+        used = rest & ~(incident[u] | incident[v])
+        if rest not in memo or used not in memo:
+            stack += [left] + [t for t in (rest, used) if t not in memo]
+            continue
+        skip, use = memo[rest], memo[used]
         out = skip + [0] * (len(use) + 1 - len(skip))
         for i, c in enumerate(use):
             out[i + 1] += c
-        memo[edges] = out
-        return out
-
-    return tuple(rec(tuple(g.sorted_edges())))
+        memo[left] = out
+    return tuple(memo[top])
 
 
 def matching_poly(g: Graph, variant: str) -> Union[IntPoly, MultiPoly]:

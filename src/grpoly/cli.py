@@ -7,8 +7,7 @@ precision and results are printed in input order.
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
 malformed input (any ``ValueError`` or ``OSError``, such as a bad spec or an
 unreadable graph6 file) or an input too deep for Python's recursion limit
-(``RecursionError``, such as matchingGen of path:1200), 3 numeric root
-finding failed (``RootFindingError``).
+(``RecursionError``), 3 numeric root finding failed (``RootFindingError``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ equality is label-sensitive and isomorphism questions go through
 
 from __future__ import annotations
 
+import binascii
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -251,16 +252,20 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph too large for the supported graph6 range")
 
 
+# graph6 and base64 both write 6-bit groups, so swapping their alphabets
+# makes binascii's base64 codec a graph6 body codec.
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6, _FROM_G6 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
+
+
 def graph_to_graph6(g: Graph) -> str:
-    bits = _upper_bits(g.masks, range(g.n))
-    out = bytearray(_g6_size_bytes(g.n))
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6] + [0] * (6 - len(bits[i:i + 6]))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    total = g.n * (g.n - 1) // 2
+    blocks = -(-total // 24)
+    raw = (_order_key(g.masks, range(g.n)) << 24 * blocks - total).to_bytes(
+        3 * blocks, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_TO_G6)
+    return (_g6_size_bytes(g.n) + body[:(total + 5) // 6]).decode("ascii")
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -277,12 +282,10 @@ def graph_from_graph6(text: str) -> Graph:
         if data[1] == 126:
             raise Graph6Error("8-byte graph6 sizes are not supported", 1)
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
         body_off = 4
     else:
-        n = data[0] - 63
-        body = data[1:]
-        body_off = 1
+        n, body_off = data[0] - 63, 1
+    body = data[body_off:]
     if n < 1:
         raise Graph6Error("graphs must have at least one vertex", 0)
     nbits = n * (n - 1) // 2
@@ -291,14 +294,13 @@ def graph_from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} adjacency bytes, got {len(body)}",
             body_off + min(len(body), nbytes))
-    bits = []
-    for byte in body:
-        val = byte - 63
-        for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
-    if any(bits[nbits:]):
+    fill = -nbytes % 4
+    key = int.from_bytes(binascii.a2b_base64(
+        body.translate(_FROM_G6) + b"A" * fill), "big") >> 6 * fill
+    pad = 6 * nbytes - nbits
+    if key & (1 << pad) - 1:
         raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
-    return _canon_graph(n, bits)
+    return _canon_graph(n, key >> pad)
 
 
 def read_graph6_lines(text: str) -> list[Graph]:
@@ -307,73 +309,82 @@ def read_graph6_lines(text: str) -> list[Graph]:
 
 # -- canonical form -----------------------------------------------------------
 #
-# Iterated neighbor-color refinement orders the vertices into cells with
-# label-invariant signatures; the canonical form is the minimum upper-triangle
-# adjacency bitstring over all permutations that respect the cell order.  The
-# search is pruned against the best prefix found so far, and graphs whose
-# refinement is discrete (almost all of them) skip the search entirely.  The
-# automorphisms the search meets on the way generate the graph's whole group:
-# a leaf that ties the best ordering maps one onto the other, and a skipped
-# twin stands for the transposition of the twins.
+# Iterated neighbour-colour refinement orders the vertices into cells with
+# label-invariant signatures.  A key is one int of upper-triangle adjacency
+# bits, column by column, most significant first (graph6's bit order); keys
+# of one n have one length, so they order as the bitstrings do.  The
+# canonical key is the least over the vertex orders that respect the cell
+# order, found by a search pruned against the best key so far; a discrete
+# refinement (almost every graph) needs no search.  The automorphisms met on
+# the way generate the whole group: a leaf that ties the best ordering maps
+# one onto the other, and a skipped twin stands for the twins' transposition.
 
 def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
     """Equitable partition of the vertices, as cells in signature order.
 
-    A vertex's colour is the position of its cell.  Each round splits the
-    non-singleton cells by the sorted tuple of their vertices' neighbour
-    colours, parts in tuple order, until no cell splits.
+    A vertex's colour is its cell's position, its signature the sorted tuple
+    of its neighbours' colours.  Round one splits by degree (tuples of zeros
+    order by length).  In a cell of one degree, the vertex with more
+    neighbours of the first colour where two counts differ has the smaller
+    tuple, so later rounds split by count vectors, descending, packed into
+    ints of n.bit_length() bits per colour (a count is at most n - 1).
     """
-    nbrs = [[u for u in range(n) if row >> u & 1] for row in masks]
-    cells = [list(range(n))]
-    while True:
-        colour = [0] * n
-        for c, cell in enumerate(cells):
-            for v in cell:
-                colour[v] = c
-        split = []
+    width = n.bit_length()
+    parts: dict[int, list[int]] = {}
+    for v in range(n):
+        parts.setdefault(masks[v].bit_count(), []).append(v)
+    cells, split = [], [parts[d] for d in sorted(parts)]
+    while len(cells) < len(split) < n:  # until no split or all singletons
+        cells, split = split, []
+        cellmasks = [sum(map((1).__lshift__, cell)) for cell in cells]
         for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            parts: dict[tuple[int, ...], list[int]] = {}
+            parts = {}
             for v in cell:
-                parts.setdefault(tuple(sorted([colour[u] for u in nbrs[v]])),
-                                 []).append(v)
-            split.extend(parts[key] for key in sorted(parts))
-        if len(split) == len(cells):
-            return cells
-        cells = split
+                row, counts = masks[v], 0
+                for cm in cellmasks:
+                    counts = counts << width | (row & cm).bit_count()
+                parts.setdefault(counts, []).append(v)
+            split.extend(parts[c] for c in sorted(parts, reverse=True))
+    return split
+
+
+def _order_key(masks: Sequence[int], order: Sequence[int]) -> int:
+    """Key of the graph with its vertices listed in ``order``."""
+    key = 0
+    for i, v in enumerate(order):
+        row, col = masks[v], 0
+        for u in order[:i]:
+            col = col << 1 | row >> u & 1
+        key = key << i | col
+    return key
 
 
 def _canon_search(n: int, masks: Sequence[int]
-                  ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical bits of the graph, and automorphisms (``perm[v]`` is v's
-    image) that generate its automorphism group."""
-    if n == 1:
-        return (), []
+                  ) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical key of the graph, and automorphisms (``perm[v]`` is v's
+    image) that generate its automorphism group.
+
+    Placing v at position i appends its adjacency to the i vertices placed
+    before it: ``cand = prefix << i | column``.  A candidate above as many
+    top bits of the best key leads to no smaller key.
+    """
     cells = _refine_cells(n, masks)
     if len(cells) == n:
-        return tuple(_upper_bits(masks, [c[0] for c in cells])), []
+        return _order_key(masks, [c[0] for c in cells]), []
 
-    cell_of_pos = []
-    for cell in cells:
-        cell_of_pos.extend([cell] * len(cell))
-    best: list[int] | None = None
+    total = n * (n - 1) // 2
+    cell_of_pos = [cell for cell in cells for _ in cell]
+    best = 1 << total  # above every key, and its top bits above every prefix
     best_order: list[int] = []
     autos: set[tuple[int, ...]] = set()
-    placed = [0] * n
-    used = [False] * n
-    prefix: list[int] = []
+    placed, used = [0] * n, [False] * n
 
-    def dfs(i: int):
+    def dfs(i: int, prefix: int):
         nonlocal best, best_order
-        if i == n:
-            if best is None or prefix < best:
-                best, best_order = prefix.copy(), placed.copy()
-            elif prefix == best:
-                autos.add(tuple(v for _, v in sorted(zip(best_order, placed))))
-            return
-        tried: list[int] = []
+        tried, shift = [], total - i * (i + 1) // 2  # key bits after column i
         for v in cell_of_pos[i]:
             if used[v]:
                 continue
@@ -387,49 +398,51 @@ def _canon_search(n: int, masks: Sequence[int]
                 autos.add(tuple(perm))
                 continue
             tried.append(v)
-            row = masks[v]
-            row_bits = [row >> placed[j] & 1 for j in range(i)]
-            if best is not None:
-                cut = len(prefix) + len(row_bits)
-                if prefix + row_bits > best[:cut]:
-                    continue
+            row, cand = masks[v], prefix
+            for u in placed[:i]:
+                cand = cand << 1 | row >> u & 1
+            if cand > best >> shift:
+                continue
             placed[i] = v
-            used[v] = True
-            prefix.extend(row_bits)
-            dfs(i + 1)
-            del prefix[len(prefix) - len(row_bits):]
-            used[v] = False
+            if i + 1 < n:
+                used[v] = True
+                dfs(i + 1, cand)
+                used[v] = False
+            elif cand < best:
+                best, best_order = cand, placed.copy()
+            else:
+                autos.add(tuple(w for _, w in sorted(zip(best_order, placed))))
 
-    dfs(0)
-    assert best is not None
-    return tuple(best), list(autos)
+    dfs(0, 0)
+    return best, list(autos)
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-complete canonical key for graphs with n <= 10."""
+    """Isomorphism-complete canonical key for graphs with n <= 10: the byte
+    n, then the key's bits eight to a byte, the rest in a last byte."""
     if g.n > MAX_CANON_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_N}")
-    bits = _canon_search(g.n, g.masks)[0]
-    packed = bytearray([g.n])
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = byte << 1 | b
-        packed.append(byte)
-    return bytes(packed)
+    total = g.n * (g.n - 1) // 2
+    key, tail = _canon_search(g.n, g.masks)[0], total % 8
+    return (bytes([g.n]) + (key >> tail).to_bytes(total // 8, "big")
+            + (bytes([key & (1 << tail) - 1]) if tail else b""))
 
 
-def _upper_bits(masks: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Upper-triangle adjacency bits of the vertices listed in ``order``,
-    column by column: the bit order of graph6 and of ``_canon_search``."""
-    return [masks[v] >> u & 1 for i, v in enumerate(order) for u in order[:i]]
-
-
-def _canon_graph(n: int, bits: Sequence[int]) -> Graph:
-    """Inverse of ``_upper_bits`` in the identity order; extra bits are
-    ignored."""
-    return graph(n, itertools.compress(
-        ((j, i) for i in range(n) for j in range(i)), bits))
+def _canon_graph(n: int, key: int) -> Graph:
+    """The graph whose key in the identity order is ``key``, with its masks;
+    its edges come out normalised, so ``Graph``'s checks are skipped."""
+    edges, masks = [], [0] * n
+    for i in range(n - 1, 0, -1):  # the last column holds the lowest bits
+        col, key = key & (1 << i) - 1, key >> i
+        while col:
+            j = i - col.bit_length()
+            col ^= 1 << i - 1 - j
+            edges.append((j, i))
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, edges=frozenset(edges), masks=tuple(masks))
+    return g
 
 
 # -- isomorph-free enumeration --------------------------------------------------
@@ -470,7 +483,7 @@ def _orbit_reps(subsets: Iterable[int], autos: Sequence[Sequence[int]]
         yield s
 
 
-def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+def _augment(reps: list[tuple[int, ...]], n: int) -> set[int]:
     """Canonical keys of the one-vertex extensions of the (n-1)-vertex masks.
 
     The new vertex of degree k may join only vertices of degree below k, and
@@ -478,7 +491,7 @@ def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
     among the rest, one neighbourhood per automorphism orbit is kept if the
     new vertex also maximizes (degree, sum of neighbour degrees).
     """
-    keys: set[tuple[int, ...]] = set()
+    keys: set[int] = set()
     new_bit = 1 << (n - 1)
     for adj in reps:
         autos = _canon_search(n - 1, adj)[1]
@@ -488,8 +501,7 @@ def _augment(reps: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
             for nb in _orbit_reps(map(sum, itertools.combinations(low, k)),
                                   autos):
                 ext = [row | new_bit if nb >> i & 1 else row
-                       for i, row in enumerate(adj)]
-                ext.append(nb)
+                       for i, row in enumerate(adj)] + [nb]
                 deg = [row.bit_count() for row in ext]
                 around = [sum(deg[u] for u in range(n) if row >> u & 1)
                           if deg[v] == k else 0 for v, row in enumerate(ext)]
@@ -503,13 +515,12 @@ def _enumerate_classes(n: int) -> list[Graph]:
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
     if n == 1:
-        keys = {()}  # the one-vertex graph has no adjacency bits
+        keys = {0}  # the one-vertex graph has no adjacency bits
     else:
         keys = _augment([g.masks for g in _enumerate_classes(n - 1)], n)
-    # a canonical graph's graph6 packs its bits in order, so (edge count,
-    # bits) sorts as (edge count, graph6)
-    graphs = [_canon_graph(n, bits)
-              for bits in sorted(keys, key=lambda bits: (sum(bits), bits))]
+    # (edge count, key) sorts as (edge count, graph6)
+    graphs = [_canon_graph(n, key)
+              for key in sorted(keys, key=lambda key: (key.bit_count(), key))]
     _ENUM_CACHE[n] = graphs
     return graphs
 
@@ -551,7 +562,7 @@ def tree_shapes_by_prufer(n: int, processes: int | None = None) -> list[Graph]:
         raise ValueError("n must be >= 1")
     shapes = [graph(1)]
     for k in range(2, n + 1):
-        found: dict[tuple[int, ...], Graph] = {}
+        found: dict[int, Graph] = {}
         for t in shapes:
             for v in range(k - 1):
                 grown = graph(k, [*t.edges, (v, k - 1)])

@@ -342,8 +342,12 @@ class TestIdentities:
             poly(1, 3, 3, 1)
 
     def test_clique_of_c4_is_independence_of_2k2(self):
-        assert subset_counting_poly(C4, "clique") == \
-            subset_counting_poly(complement(C4), "independence")
+        # by hand: the cliques of C4 are the empty set, its 4 vertices and
+        # its 4 edges; the independent sets of 2K2 are the empty set, its 4
+        # vertices and its 4 non-edges
+        assert subset_counting_poly(C4, "clique") == poly(1, 4, 4)
+        assert subset_counting_poly(complement(C4), "independence") == \
+            poly(1, 4, 4)
 
 
 class TestFamilyRegistry:

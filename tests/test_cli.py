@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -85,17 +86,27 @@ class TestPoly:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_recursion_limit_exits_two(self, capsys):
-        # the matching recursion takes one frame per edge
+    def test_path_1200_matchings(self, capsys):
+        # 1,199 edges: deeper than the recursion limit at one frame per edge;
+        # P_n has C(n - k, k) k-matchings
         code, out, err = run_cli(
             ["poly", "--family", "matchingGen", "--named", "path:1200"],
             capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["coeffs"] == \
+            [str(comb(1200 - k, k)) for k in range(601)]
+
+    def test_recursion_error_exits_two(self, capsys, monkeypatch):
+        def too_deep(family, g):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "family_polynomial", too_deep)
+        code, out, err = run_cli(
+            ["poly", "--family", "matchingGen", "--named", "path:4"], capsys)
         assert code == 2
         assert out == ""
-        errors = [line for line in err.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and "recursion depth" in errors[0]
-        assert "Traceback" not in err
+        assert err == "error: maximum recursion depth exceeded\n"
 
 
 class TestEnum:

@@ -31,6 +31,15 @@ def relabeled(g: Graph, perm) -> Graph:
     return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def hub_pair(s: int) -> Graph:
+    """Hubs 0 and 1 of degree s: hub 0 joined to the s vertices 2..s+1,
+    hub 1 to the first s - 1 of them and to the leaf s+2; vertex s+1 also
+    has the leaf s+3, so the s joined vertices all have degree 2."""
+    edges = [(0, v) for v in range(2, s + 2)]
+    edges += [(1, v) for v in range(2, s + 1)] + [(1, s + 2), (s + 1, s + 3)]
+    return graph(s + 4, edges)
+
+
 def generated_group_order(n: int, perms) -> int:
     """Order of the permutation group that ``perms`` generate, by closure."""
     identity = tuple(range(n))
@@ -273,6 +282,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(graph(11))
 
+    def test_bytes_digest_up_to_eight(self):
+        # the bytes of every class with n <= 8, in enumeration order
+        blob = b"".join(canonical_form(g) for n in range(1, 9)
+                        for g in enumerate_graphs(n))
+        assert hashlib.sha256(blob).hexdigest() == \
+            "4acc3681df8cd31e32dc9283226040191fb45befe056ea973c38f0be4c7a5313"
+
 
 class TestRefinement:
     def test_matches_reference_on_relabeled_classes(self):
@@ -295,6 +311,23 @@ class TestRefinement:
                          for i, row in enumerate(g.masks)] + [nb]
                 assert _refine_cells(8, masks) == \
                     refine_cells_reference(8, masks)
+
+    def test_matches_reference_past_the_packing_width(self):
+        # counts up to n - 1 = 20; hub_pair(s) has two hubs of degree s in
+        # one cell whose count vectors (0, s, 0) and (1, s - 1, 0) overflow
+        # a field narrower than s's bits
+        rng = random.Random(19)
+        rand20 = graph(20, [e for e in itertools.combinations(range(20), 2)
+                            if rng.random() < 0.5])
+        cases = [named_graph("star", 20), named_graph("complete", 17),
+                 rand20] + [hub_pair(s) for s in range(2, 21)]
+        for g in cases:
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                masks = relabeled(g, perm).masks
+                assert _refine_cells(g.n, masks) == \
+                    refine_cells_reference(g.n, masks)
 
 
 class TestAutomorphisms:
@@ -328,6 +361,24 @@ class TestAutomorphisms:
                     order = sum(1 for _ in nx.algorithms.isomorphism
                                 .GraphMatcher(nxg, nxg).isomorphisms_iter())
                     assert generated_group_order(n, autos) == order
+
+    def test_star_with_a_vertex_of_degree_nineteen(self):
+        # the group has order 19!, so check its orbits, not its order
+        rng = random.Random(23)
+        for _ in range(3):
+            perm = list(range(20))
+            rng.shuffle(perm)
+            g = relabeled(named_graph("star", 19), perm)
+            key, autos = _canon_search(20, g.masks)
+            assert key == (1 << 19) - 1  # the centre placed last
+            orbit = {perm[1]}
+            for _ in range(20):
+                orbit |= {p[v] for p in autos for v in orbit}
+            assert orbit == set(perm[1:])
+            for p in autos:
+                assert p[perm[0]] == perm[0]
+                assert {tuple(sorted((p[u], p[v])))
+                        for u, v in g.edges} == g.edges
 
     def test_orbit_representatives_reach_every_extension_class(self):
         def key(g, nb):
@@ -436,6 +487,12 @@ class TestTreeShapes:
         for n in range(1, 10):
             g6 = [graph_to_graph6(t) for t in tree_shapes_by_prufer(n)]
             assert g6 == sorted(g6)
+
+    def test_graph6_digest_up_to_twelve(self):
+        text = "".join(graph_to_graph6(t) for n in range(1, 13)
+                       for t in tree_shapes_by_prufer(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b62e954cf7131a51fdcf16086636ce25d9774dcd3fe0976b3432b9f2e3287541"
 
     def test_graph6_digest_up_to_ten(self):
         # the kept representative of each shape, not only the shape set
