@@ -1,8 +1,8 @@
 """The graph-polynomial catalog.
 
 Every family is computed exactly: characteristic polynomials of the
-adjacency/Laplacian/cycle matrices by Faddeev-LeVerrier over arbitrary
-precision integers, the matching family by the delete/shrink recursion on
+adjacency/Laplacian/cycle matrices by Faddeev-LeVerrier with each matrix row
+packed into one integer, the matching family by the delete/shrink recursion on
 edges, memoized on the remaining edges, the Tutte polynomial by memoized
 deletion-contraction over parallel-edge bundles, and the chromatic polynomial
 and the subset-counting families (independence, clique, vertex cover,
@@ -87,23 +87,39 @@ def cycle_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _char_poly_of_matrix(entries: Sequence[Sequence[int]]) -> IntPoly:
-    """det(X*I - M) by the Faddeev-LeVerrier recurrence; exact integers."""
+    """det(X*I - A) by the Faddeev-LeVerrier recurrence on packed rows.
+
+    M_1 = I; each step forms AM = A*M_k, reads c_{n-k} = -tr(AM)/k and sets
+    M_{k+1} = AM + c_{n-k}*I.  Each row of M_k is one int with entry j in a
+    signed w-bit slot at bit w*j, so a row of A*M_k is a sum of whole rows,
+    one multiply-add per nonzero of A.  Slot i of row i is read after adding
+    2^(w-1) to every slot, which makes every slot non-negative and stops the
+    borrows of negative entries.
+
+    The slots never overflow.  Let r be the largest absolute row sum of A.
+    Every entry of A^p is at most r^p in absolute value, and every eigenvalue
+    lies in |z| <= r (Gershgorin), so |c_{n-j}| <= C(n,j) r^j.  A*M_k is the
+    sum of c_{n-j} A^(k-j) over j < k (c_n = 1), so its entries, and those of
+    M_{k+1}, are at most sum_j C(n,j) r^k <= 2^n r^n in absolute value.  That
+    is at most 2^(w-2) for w = n(1 + bit_length(r)) + 2, and a signed w-bit
+    slot holds every |x| < 2^(w-1).
+    """
     n = len(entries)
-    a = [list(row) for row in entries]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[0] * n for _ in range(n)]
+    r = max((sum(map(abs, row)) for row in entries), default=0)
+    w = n * (1 + r.bit_length()) + 2
+    nonzero = [[(a, t) for t, a in enumerate(row) if a] for row in entries]
+    unit = [1 << w * i for i in range(n)]
+    lift, half, mask = sum(unit) << w - 1, 1 << w - 1, (1 << w) - 1
+    coeffs = [0] * n + [1]
+    m = unit
     for k in range(1, n + 1):
-        # M_k = A*M_{k-1} + c_{n-k+1} * I
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        for i in range(n):
-            am[i][i] += coeffs[n - k + 1]
-        m = am
-        trace = sum(a[i][t] * m[t][i] for i in range(n) for t in range(n))
-        q, r = divmod(-trace, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
-        coeffs[n - k] = q
+        am = [sum(a * m[t] for a, t in row) for row in nonzero]
+        trace = sum(((x + lift) >> w * i & mask) - half
+                    for i, x in enumerate(am))
+        c, rem = divmod(-trace, k)
+        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        coeffs[n - k] = c
+        m = [x + c * u for x, u in zip(am, unit)]
     return IntPoly(tuple(coeffs))
 
 

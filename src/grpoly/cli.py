@@ -20,8 +20,9 @@ from typing import Sequence
 
 from .catalog import FAMILY_NAMES, family_polynomial
 from .equivalence import dp_compare
-from .graphs import (Graph, enumerate_graphs, graph_to_graph6, named_graph,
-                     read_graph6_lines, similarity_triple, tree_from_prufer)
+from .graphs import (Graph, enumerate_graph6, enumerate_graphs,
+                     graph_to_graph6, named_graph, read_graph6_lines,
+                     similarity_triple, tree_from_prufer)
 from .polynomials import IntPoly, MultiPoly, multipoly_to_json, poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
@@ -181,13 +182,15 @@ def cmd_density(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    mk = None
-    if args.m is not None or args.k is not None:
-        if args.m is None or args.k is None:
-            raise UsageError("--m and --k must be given together")
+    if args.m is None and args.k is None:
+        lines = enumerate_graph6(args.n)
+    elif args.m is None or args.k is None:
+        raise UsageError("--m and --k must be given together")
+    else:
         mk = (args.m, args.k)
-    for g in enumerate_graphs(args.n, mk):
-        print(graph_to_graph6(g))
+        lines = map(graph_to_graph6, enumerate_graphs(args.n, mk))
+    for line in lines:
+        print(line)
     return 0
 
 

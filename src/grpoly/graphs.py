@@ -260,12 +260,16 @@ _TO_G6, _FROM_G6 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
 
 
 def graph_to_graph6(g: Graph) -> str:
-    total = g.n * (g.n - 1) // 2
+    return _graph6_of_key(g.n, _order_key(g.masks, range(g.n)))
+
+
+def _graph6_of_key(n: int, key: int) -> str:
+    """graph6 line of the graph on n vertices whose key is ``key``."""
+    total = n * (n - 1) // 2
     blocks = -(-total // 24)
-    raw = (_order_key(g.masks, range(g.n)) << 24 * blocks - total).to_bytes(
-        3 * blocks, "big")
+    raw = (key << 24 * blocks - total).to_bytes(3 * blocks, "big")
     body = binascii.b2a_base64(raw, newline=False).translate(_TO_G6)
-    return (_g6_size_bytes(g.n) + body[:(total + 5) // 6]).decode("ascii")
+    return (_g6_size_bytes(n) + body[:(total + 5) // 6]).decode("ascii")
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -458,9 +462,10 @@ def _canon_graph(n: int, key: int) -> Graph:
 # the new one are generated.  Every class still arrives: delete a maximizing
 # vertex v of any n-graph, and the representative of what is left, extended
 # by the image of v's neighbours, is isomorphic to it with the new vertex in
-# v's place.
+# v's place.  Each level is kept as its canonical keys in enumeration order;
+# graphs, the next level's parent masks and graph6 lines are built from them.
 
-_ENUM_CACHE: dict[int, list[Graph]] = {}
+_ENUM_CACHE: dict[int, list[int]] = {}
 
 
 def _orbit_reps(subsets: Iterable[int], autos: Sequence[Sequence[int]]
@@ -511,18 +516,20 @@ def _augment(reps: list[tuple[int, ...]], n: int) -> set[int]:
     return keys
 
 
-def _enumerate_classes(n: int) -> list[Graph]:
+def _enumerate_classes(n: int) -> list[int]:
+    """Canonical keys of the classes on n vertices, in enumeration order."""
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
     if n == 1:
         keys = {0}  # the one-vertex graph has no adjacency bits
     else:
-        keys = _augment([g.masks for g in _enumerate_classes(n - 1)], n)
+        keys = _augment([_canon_graph(n - 1, key).masks
+                         for key in _enumerate_classes(n - 1)], n)
     # (edge count, key) sorts as (edge count, graph6)
-    graphs = [_canon_graph(n, key)
-              for key in sorted(keys, key=lambda key: (key.bit_count(), key))]
-    _ENUM_CACHE[n] = graphs
-    return graphs
+    _ENUM_CACHE[n] = sorted(keys, key=lambda key: (key.bit_count(), key))
+    return _ENUM_CACHE[n]
 
 
 def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
@@ -536,13 +543,17 @@ def enumerate_graphs(n: int, mk: Optional[tuple[int, int]] = None
     canonical labeling.  ``mk=(m, k)`` restricts the output to graphs with
     that edge and component count.
     """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
-    graphs = _enumerate_classes(n)
+    graphs = [_canon_graph(n, key) for key in _enumerate_classes(n)]
     if mk is None:
-        return list(graphs)
+        return graphs
     m, k = mk
     return [g for g in graphs if g.m == m and component_count(g) == k]
+
+
+def enumerate_graph6(n: int) -> list[str]:
+    """The graph6 lines of ``enumerate_graphs(n)``, written from the keys
+    without building the graphs."""
+    return [_graph6_of_key(n, key) for key in _enumerate_classes(n)]
 
 
 # -- tree shapes --------------------------------------------------------------

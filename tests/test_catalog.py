@@ -2,9 +2,12 @@ import itertools
 import time
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from grpoly.catalog import (adjacency_matrix, char_poly, chromatic_poly,
+from grpoly.catalog import (_char_poly_of_matrix, adjacency_matrix, char_poly,
+                            chromatic_poly,
                             cycle_matrix, family_polynomial, laplacian_matrix,
                             matching_counts, matching_poly,
                             spanning_tree_count, subset_counting_poly,
@@ -74,9 +77,37 @@ class TestCharPoly:
                     char_poly_oracle(laplacian_matrix(g))
 
     def test_cycle_kind_against_oracle(self):
-        for g in enumerate_graphs(4):
-            assert char_poly(g, "cycle") == \
-                char_poly_oracle(cycle_matrix(g))
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                assert char_poly(g, "cycle") == \
+                    char_poly_oracle(cycle_matrix(g))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_rows_against_oracle(self, data):
+        # entries of both signs in every slot; row sums up to 480 give
+        # wider slots than any graph matrix with n <= 8 (at most 30)
+        n = data.draw(st.integers(1, 8))
+        entry = st.integers(-60, 60)
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                    for i in range(n)]
+        assert _char_poly_of_matrix(rows) == char_poly_oracle(rows)
+
+    def test_complete_graph_closed_forms(self):
+        # K_n has the largest adjacency and Laplacian row sums on n
+        # vertices, so the widest slots; its cycle matrix is 3J + (n - 4)I
+        for n in range(2, 13):
+            k = named_graph("complete", n)
+            assert char_poly(k, "adjacency") == \
+                from_roots([(n - 1, 1), (-1, n - 1)])
+            assert char_poly(k, "laplacian") == \
+                from_roots([(0, 1), (n, n - 1)])
+            if n >= 3:  # K_2's lone edge lies on no cycle: entry 1, not 3
+                assert char_poly(k, "cycle") == \
+                    from_roots([(4 * n - 4, 1), (n - 4, n - 1)])
 
     def test_laplacian_zero_multiplicity_is_component_count(self):
         for n in range(1, 6):

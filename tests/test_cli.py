@@ -4,11 +4,17 @@ import os
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from grpoly import cli, roots
 from grpoly.cli import main
+from grpoly.graphs import (SimilarityTriple, enumerate_graphs,
+                           graph_from_graph6, graph_to_graph6,
+                           similarity_triple)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -124,6 +130,49 @@ class TestEnum:
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(["enum", "--n", "12"], capsys)
         assert code == 2
+
+    def test_lines_are_the_enumerated_graphs(self, capsys):
+        for n in range(1, 8):
+            code, out, _ = run_cli(["enum", "--n", str(n)], capsys)
+            assert code == 0
+            assert out.splitlines() == [graph_to_graph6(g)
+                                        for g in enumerate_graphs(n)]
+
+    def test_mk_listing_is_the_filtered_full_listing(self, capsys):
+        _, out, _ = run_cli(["enum", "--n", "6"], capsys)
+        full = out.splitlines()
+        triples = [similarity_triple(graph_from_graph6(line)) for line in full]
+        listed = 0
+        for m in range(comb(6, 2) + 1):
+            for k in range(1, 7):
+                try:
+                    triple = SimilarityTriple(6, m, k)
+                except ValueError:
+                    continue  # no graph has this (m, k)
+                code, out, _ = run_cli(["enum", "--n", "6", "--m", str(m),
+                                        "--k", str(k)], capsys)
+                want = [line for line, t in zip(full, triples) if t == triple]
+                assert code == 0 and want
+                assert out.splitlines() == want
+                listed += len(want)
+        assert listed == len(full) == 156
+
+
+class TestScripts:
+    def run_script(self, name, *args):
+        return subprocess.run([sys.executable, str(REPO / "scripts" / name),
+                               *args], capture_output=True, text=True,
+                              cwd=REPO)
+
+    def test_find_cospectral_pairs(self):
+        proc = self.run_script("find_cospectral_pairs.py", "--nmax", "6")
+        assert proc.returncode == 0, proc.stderr
+        assert "dp_compare(charA, charL, 6): incomparable" in \
+            proc.stdout.splitlines()
+
+    def test_density_demo(self):
+        proc = self.run_script("density_demo.py", "--count", "5")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRoots:
