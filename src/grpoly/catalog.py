@@ -19,7 +19,7 @@ from itertools import compress, count
 from math import comb
 from typing import Callable, Iterable, Sequence, Union
 
-from .graphs import Graph, complement
+from .graphs import Graph, complement, component_count
 from .polynomials import FALLING, POWER, IntPoly, MultiPoly, convert_basis
 
 CHROMATIC_MAX_N = 10
@@ -231,63 +231,102 @@ def chromatic_poly(g: Graph) -> IntPoly:
 
 # -- Tutte -----------------------------------------------------------------------
 
-def _joined(bundles: tuple, u: int, v: int) -> bool:
-    """Is v reachable from u along the given bundles?"""
-    adj: dict[int, list[int]] = {}
-    for (a, b), _ in bundles:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        for x in adj.get(stack.pop(), ()):
-            if x == v:
-                return True
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return False
-
-
-def _tutte(bundles: tuple, memo: dict) -> dict[tuple[int, int], int]:
-    if not bundles:
-        return {(0, 0): 1}
-    hit = memo.get(bundles)
-    if hit is not None:
-        return hit
-    (u, v), k = bundles[0]
-    rest = bundles[1:]
-    merged: dict[tuple[int, int], int] = {}
-    for (a, b), c in rest:  # contract v into u
-        a, b = (u if a == v else a), (u if b == v else b)
-        key = (a, b) if a < b else (b, a)
-        merged[key] = merged.get(key, 0) + c
-    bridge = not _joined(rest, u, v)
-    out = {} if bridge else dict(_tutte(rest, memo))
-    for (i, j), c in _tutte(tuple(sorted(merged.items())), memo).items():
-        head = (i + 1, j) if bridge else (i, j)  # x or 1
-        out[head] = out.get(head, 0) + c
-        for t in range(1, k):  # y + ... + y^(k-1)
-            out[i, j + t] = out.get((i, j + t), 0) + c
-    memo[bundles] = out
-    return out
-
-
 def tutte_poly(g: Graph) -> MultiPoly:
     """Tutte polynomial by deletion-contraction over parallel-edge bundles.
 
-    Intermediates are loopless multigraphs held as sorted tuples of bundles
-    ((u, v), k): k parallel u-v edges.  Removing a whole bundle B at once,
+    Removing the whole bundle B of k parallel u-v edges at once,
     T(G) = T(G-B) + (1 + y + ... + y^(k-1)) T(G/B) when u and v stay joined
     without B, and T(G) = (x + y + ... + y^(k-1)) T(G/B) when B is a bridge
-    bundle.  B holds every u-v edge, so contracting it makes no loops.
-    Results are memoized on the bundle tuple for the duration of one call and
-    kept as {(i, j): coefficient} dicts until the final MultiPoly.
+    bundle.  B holds every u-v edge, so contracting it makes no loops; when
+    u or v has no other edge, G/B is G-B with that vertex left isolated.  B
+    is the lowest bundle of the lowest vertex u that has one.
+
+    Each loopless multigraph minor is a tuple of per-vertex rows, row u an
+    int with the multiplicity of u-v in the b-bit slot at bit b*v, and the
+    tuple is the memo key for the duration of one call.  Contracting v into u
+    adds row v to row u and moves slot v of every other row to slot u; the
+    bridge test is a breadth-first search over rows, which finds the
+    occupied slots of a row all at once by adding 2^(b-1) - 1 to each slot
+    and reading the slots' top bits.  A result is one int with the
+    coefficient of x^i y^j in the w-bit slot at bit w*(i*(nu+1) + j), so a
+    step is one multiply and at most one add.
+
+    The slots never overflow.  A multiplicity is at most m < 2^(b-1) for
+    b = bit_length(m) + 1, which keeps each slot's top bit clear.  The
+    coefficients of a minor are non-negative and sum to at most
+    T(minor; 2, 2) = 2^(edges) <= 2^m < 2^w for w = m + 1, and every slot
+    of a step's sum or product holds a partial sum of coefficients of
+    T(G).  Minors have rank at most r and nullity at most nu, those of G, so
+    no y-power reaches the next x-power's slots.
+
+    ``tests/oracles.py`` keeps the bundle recursion over dicts of terms,
+    ``tutte_bundles_reference``, that this replaced.
     """
     if g.n > TUTTE_MAX_N:
         raise ValueError(f"tutte_poly supports n <= {TUTTE_MAX_N}")
-    bundles = tuple((e, 1) for e in sorted(g.edges))
-    return MultiPoly.from_dict(2, _tutte(bundles, {}))
+    n, m = g.n, g.m
+    r = n - component_count(g)
+    nu = m - r
+    b, w = m.bit_length() + 1, m + 1
+    slot = (1 << b) - 1
+    ones = sum(1 << b * v for v in range(n))
+    probe, top = ones * (slot >> 1), ones << b - 1
+    x = 1 << (nu + 1) * w
+    ys = [0]  # ys[k] = 1 + y + ... + y^(k-1)
+    for k in range(m):
+        ys.append(ys[-1] | 1 << k * w)
+    memo = {(0,) * n: 1}
+
+    def tutte(rows: tuple[int, ...]) -> int:
+        hit = memo.get(rows)
+        if hit is not None:
+            return hit
+        u = 0
+        while not rows[u]:
+            u += 1
+        ru = rows[u]
+        occupied = ru + probe & top
+        vbit = occupied & -occupied
+        v = vbit.bit_length() // b - 1
+        su, sv = b * u, b * v
+        k = ru >> sv & slot
+        dele = list(rows)
+        dele[u] = ru = ru - (k << sv)
+        dele[v] = rv = rows[v] - (k << su)
+        con, joined = dele, False  # a pendant bundle: G/B is G-B
+        if ru and rv:
+            con = dele.copy()
+            con[u], con[v] = ru + rv, 0
+            occupied = rv + probe & top
+            while occupied:
+                p = occupied & -occupied
+                occupied ^= p
+                t = p.bit_length() // b - 1
+                c = con[t] >> sv & slot
+                con[t] += (c << su) - (c << sv)
+            seen, stack = 1 << su + b - 1, [u]
+            while stack and not joined:
+                reach = (dele[stack.pop()] + probe & top) & ~seen
+                joined = reach & vbit
+                seen |= reach
+                while reach:
+                    p = reach & -reach
+                    reach ^= p
+                    stack.append(p.bit_length() // b - 1)
+        if joined:
+            out = tutte(tuple(dele)) + tutte(tuple(con)) * ys[k]
+        else:
+            out = tutte(tuple(con)) * (x + ys[k] - 1)
+        memo[rows] = out
+        return out
+
+    rows = [0] * n
+    for u, v in g.edges:
+        rows[u] |= 1 << b * v
+        rows[v] |= 1 << b * u
+    t, mask = tutte(tuple(rows)), (1 << w) - 1
+    return MultiPoly.from_dict(2, {divmod(s, nu + 1): t >> w * s & mask
+                                   for s in range((r + 1) * (nu + 1))})
 
 
 # -- subset-counting families -----------------------------------------------------

@@ -455,9 +455,11 @@ def _canon_graph(n: int, key: int) -> Graph:
 # some subset of it, so extending one representative per (n-1)-class reaches
 # every n-class; the canonical key keeps one of each.  Two subsets in one
 # orbit of the representative's automorphism group give isomorphic graphs,
-# so one subset per orbit is extended.  Only extensions whose new vertex
-# maximizes (degree, sum of neighbour degrees) over the extended graph reach
-# the canonical search (the invariant test of McKay's canonical
+# so one subset per orbit is extended; the orbits are walked through one
+# 2^(n-1)-entry image table per automorphism generator, built once per
+# representative for the subsets of every size.  Only extensions whose new
+# vertex maximizes (degree, sum of neighbour degrees) over the extended graph
+# reach the canonical search (the invariant test of McKay's canonical
 # augmentation), and only subsets that leave no vertex of higher degree than
 # the new one are generated.  Every class still arrives: delete a maximizing
 # vertex v of any n-graph, and the representative of what is left, extended
@@ -471,7 +473,18 @@ _ENUM_CACHE: dict[int, list[int]] = {}
 def _orbit_reps(subsets: Iterable[int], autos: Sequence[Sequence[int]]
                 ) -> Iterator[int]:
     """The first bitmask of each orbit under the group that ``autos``
-    generate, among ``subsets`` (a union of orbits)."""
+    generate, among ``subsets`` (a union of orbits).
+
+    Each generator's images of all bitmasks are one table, filled in the
+    order of t from the image of t with its lowest vertex removed.
+    """
+    tables = []
+    for perm in autos:
+        table = [0] * (1 << len(perm))
+        for t in range(1, len(table)):
+            low = t & -t
+            table[t] = table[t ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
     seen: set[int] = set()
     for s in subsets:
         if s in seen:
@@ -480,8 +493,8 @@ def _orbit_reps(subsets: Iterable[int], autos: Sequence[Sequence[int]]
         stack = [s]
         while stack:
             t = stack.pop()
-            for perm in autos:
-                image = sum(1 << w for v, w in enumerate(perm) if t >> v & 1)
+            for table in tables:
+                image = table[t]
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
@@ -501,18 +514,20 @@ def _augment(reps: list[tuple[int, ...]], n: int) -> set[int]:
     for adj in reps:
         autos = _canon_search(n - 1, adj)[1]
         base = [row.bit_count() for row in adj]
-        for k in range(max(base), n):
-            low = [1 << v for v in range(n - 1) if base[v] < k]
-            for nb in _orbit_reps(map(sum, itertools.combinations(low, k)),
-                                  autos):
-                ext = [row | new_bit if nb >> i & 1 else row
-                       for i, row in enumerate(adj)] + [nb]
-                deg = [row.bit_count() for row in ext]
-                around = [sum(deg[u] for u in range(n) if row >> u & 1)
-                          if deg[v] == k else 0 for v, row in enumerate(ext)]
-                if max(around) > around[-1]:
-                    continue
-                keys.add(_canon_search(n, ext)[0])
+        subsets = itertools.chain.from_iterable(
+            map(sum, itertools.combinations(
+                [1 << v for v in range(n - 1) if base[v] < k], k))
+            for k in range(max(base), n))
+        for nb in _orbit_reps(subsets, autos):
+            k = nb.bit_count()
+            ext = [row | new_bit if nb >> i & 1 else row
+                   for i, row in enumerate(adj)] + [nb]
+            deg = [row.bit_count() for row in ext]
+            around = [sum(deg[u] for u in range(n) if row >> u & 1)
+                      if deg[v] == k else 0 for v, row in enumerate(ext)]
+            if max(around) > around[-1]:
+                continue
+            keys.add(_canon_search(n, ext)[0])
     return keys
 
 

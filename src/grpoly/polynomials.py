@@ -113,7 +113,17 @@ def poly(*coeffs: int) -> IntPoly:
 
 
 def evaluate(p: IntPoly, x):
-    """Horner evaluation.  Exact for int/Fraction points, float for complex."""
+    """Horner evaluation.  Exact for int/Fraction points, float for complex.
+
+    At a Fraction a/b the Horner loop runs homogeneously in Z, on
+    sum_i c_i a^i b^(d-i) = b^d p(a/b), and one Fraction is built at the end.
+    """
+    if isinstance(x, Fraction):
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(p.coeffs):
+            acc, scale = acc * a + c * scale, scale * b
+        return Fraction(acc * b, scale)
     acc = 0 if not isinstance(x, complex) else 0j
     for c in reversed(p.coeffs):
         acc = acc * x + c

@@ -5,14 +5,16 @@ library paths it checks: determinants by fraction Gaussian elimination,
 isomorphism by permutation search, colorings/matchings/covers by direct
 subset enumeration, class counts by the orbit-counting formula, tree shapes
 by decoding every Prüfer sequence, colour refinement by sorted signature
-tuples.
+tuples.  The Tutte bundle recursion is the one exception: it is the library's
+own algorithm, kept here over dicts of terms as the reference for the packed
+version that replaced it.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from grpoly.graphs import Graph, connected_components, graph
-from grpoly.polynomials import IntPoly
+from grpoly.polynomials import IntPoly, MultiPoly
 
 
 def det_fractions(rows: list[list[Fraction]]) -> Fraction:
@@ -214,6 +216,80 @@ def tutte_eval_oracle(g: Graph, x: int, y: int) -> int:
             r_sub = n - k_sub
             total += (x - 1) ** (r_e - r_sub) * (y - 1) ** (r - r_sub)
     return total
+
+
+def _joined(bundles: tuple, u: int, v: int) -> bool:
+    """Is v reachable from u along the given bundles?"""
+    adj: dict[int, list[int]] = {}
+    for (a, b), _ in bundles:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {u}
+    stack = [u]
+    while stack:
+        for x in adj.get(stack.pop(), ()):
+            if x == v:
+                return True
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return False
+
+
+def _tutte(bundles: tuple, memo: dict) -> dict[tuple[int, int], int]:
+    if not bundles:
+        return {(0, 0): 1}
+    hit = memo.get(bundles)
+    if hit is not None:
+        return hit
+    (u, v), k = bundles[0]
+    rest = bundles[1:]
+    merged: dict[tuple[int, int], int] = {}
+    for (a, b), c in rest:  # contract v into u
+        a, b = (u if a == v else a), (u if b == v else b)
+        key = (a, b) if a < b else (b, a)
+        merged[key] = merged.get(key, 0) + c
+    bridge = not _joined(rest, u, v)
+    out = {} if bridge else dict(_tutte(rest, memo))
+    for (i, j), c in _tutte(tuple(sorted(merged.items())), memo).items():
+        head = (i + 1, j) if bridge else (i, j)  # x or 1
+        out[head] = out.get(head, 0) + c
+        for t in range(1, k):  # y + ... + y^(k-1)
+            out[i, j + t] = out.get((i, j + t), 0) + c
+    memo[bundles] = out
+    return out
+
+
+def tutte_bundles_reference(g: Graph) -> MultiPoly:
+    """Tutte polynomial by deletion-contraction over parallel-edge bundles.
+
+    Intermediates are loopless multigraphs held as sorted tuples of bundles
+    ((u, v), k): k parallel u-v edges.  Removing a whole bundle B at once,
+    T(G) = T(G-B) + (1 + y + ... + y^(k-1)) T(G/B) when u and v stay joined
+    without B, and T(G) = (x + y + ... + y^(k-1)) T(G/B) when B is a bridge
+    bundle.  B holds every u-v edge, so contracting it makes no loops.
+    Results are memoized on the bundle tuple for the duration of one call and
+    kept as {(i, j): coefficient} dicts until the final MultiPoly.  This is
+    the recursion that ``catalog.tutte_poly`` runs on packed integers.
+    """
+    bundles = tuple((e, 1) for e in sorted(g.edges))
+    return MultiPoly.from_dict(2, _tutte(bundles, {}))
+
+
+def reliability_poly(tutte: MultiPoly, nullity: int) -> IntPoly:
+    """r(p) = sum_j t_j (1 - p)^(nullity - j), with t_j = sum_i T_ij.
+
+    For a connected graph the all-terminal reliability is
+    R(G; p) = p^(n-1) (1-p)^nullity T(G; 1, 1/(1-p)) = p^(n-1) r(p).
+    """
+    t = [0] * (nullity + 1)
+    for (_, j), c in tutte.terms:
+        t[j] += c
+    out, power = IntPoly(()), IntPoly((1,))
+    for c in reversed(t):  # power = (1 - p)^(nullity - j)
+        out = out + power * c
+        power = power * IntPoly((1, -1))
+    return out
 
 
 def prufer_decode_reference(code, n):

@@ -19,7 +19,8 @@ from grpoly.polynomials import IntPoly, evaluate, from_roots, poly, substitute
 from grpoly.roots import integer_roots
 from oracles import (char_poly_oracle, edge_cover_counts_brute,
                      matching_counts_brute, proper_coloring_count,
-                     spanning_tree_count_brute, tutte_eval_oracle)
+                     spanning_tree_count_brute, tutte_bundles_reference,
+                     tutte_eval_oracle)
 
 K3 = named_graph("complete", 3)
 C4 = named_graph("cycle", 4)
@@ -275,6 +276,32 @@ class TestTutte:
         for h in nx.graph_atlas_g()[1:]:  # every graph with 1 <= n <= 7
             g = graph(h.number_of_nodes(), h.edges())
             assert tutte_poly(g).evaluate((2, 2)) == 2 ** g.m
+
+    def test_matches_bundle_reference(self):
+        # the dense n = 8 graphs fill the most result slots and contract
+        # into the largest bundles; K9 is the largest graph allowed
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        graphs += [g for g in enumerate_graphs(8) if g.m >= 22]
+        graphs.append(named_graph("complete", 9))
+        assert len(graphs) == 1252 + 100 + 1
+        for g in graphs:
+            assert tutte_poly(g).terms == tutte_bundles_reference(g).terms
+
+    def test_every_coefficient_against_networkx(self):
+        # networkx expands T in sympy by its own recursion.  A few points
+        # cannot pin a bivariate polynomial; the whole term table can.
+        nx = pytest.importorskip("networkx")
+        sympy = pytest.importorskip("sympy")
+        xy = sympy.symbols("x y")
+        atlas = nx.graph_atlas_g()[1:]
+        sample = ([h for h in atlas if h.number_of_nodes() <= 5]
+                  + [h for h in atlas if h.number_of_nodes() == 6][::8])
+        assert len(sample) == 52 + 20
+        for h in sample:
+            expected = sympy.Poly(nx.tutte_polynomial(h), *xy).as_dict()
+            g = graph(h.number_of_nodes(), h.edges())
+            assert tutte_poly(g).as_dict() == \
+                {e: int(c) for e, c in expected.items()}
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_cayley_spanning_trees_of_complete_graph(self, n):

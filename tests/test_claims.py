@@ -1,19 +1,25 @@
-"""Exact checks of three cited root-location theorems on every graph, n <= 8.
+"""Exact checks of three cited root-location theorems on every graph, n <= 8,
+and a numeric check of one disproved conjecture on n <= 7.
 
-All three claims are statements about real roots, so the exact layer decides
+The three theorems are statements about real roots, so the exact layer decides
 them with no numerics: half-open Sturm counts over (a, b] plus the exact
-integer roots for the open endpoints.  A failure here is a reproduction
-discrepancy to report, not a tolerance to tune.
+integer roots for the open endpoints.  The Brown-Colbourn disk is checked on
+certified numeric roots until exact disk counts (Schur-Cohn) exist.  A failure
+here is a reproduction discrepancy to report, not a tolerance to tune.
 """
 
 import itertools
 from fractions import Fraction
 from math import inf
 
-from grpoly.catalog import chromatic_poly, matching_poly, subset_counting_poly
-from grpoly.graphs import Graph, enumerate_graphs, graph_to_graph6
+from grpoly.catalog import (chromatic_poly, matching_poly,
+                            subset_counting_poly, tutte_poly)
+from grpoly.graphs import (Graph, component_count, enumerate_graphs, graph,
+                           graph_to_graph6)
 from grpoly.polynomials import IntPoly
-from grpoly.roots import integer_roots, is_real_rooted, sturm_count
+from grpoly.roots import (complex_roots, integer_roots, is_real_rooted,
+                          sturm_count)
+from oracles import reliability_poly
 
 GRAPHS = [g for n in range(1, 9) for g in enumerate_graphs(n)]
 
@@ -80,3 +86,44 @@ def test_heilmann_lieb_matching_roots_bounded():
     # the 24 graphs with max degree <= 1 are partial matchings
     assert checked == len(GRAPHS) - 24
     assert violations == []
+
+
+def test_reliability_from_tutte_against_edge_subsets():
+    # R(G; p) sums p^|S| (1-p)^(m-|S|) over the connected spanning S
+    for g in GRAPHS:
+        if g.n > 5 or component_count(g) > 1:
+            continue
+        edges = g.sorted_edges()
+        direct = IntPoly(())
+        for size in range(g.m + 1):
+            for sub in itertools.combinations(edges, size):
+                if component_count(graph(g.n, sub)) == 1:
+                    direct = direct + (IntPoly((0, 1)) ** size
+                                       * IntPoly((1, -1)) ** (g.m - size))
+        r = reliability_poly(tutte_poly(g), g.m - g.n + 1)
+        assert r * IntPoly((0, 1)) ** (g.n - 1) == direct
+
+
+def test_brown_colbourn_reliability_roots_in_unit_disk_about_one():
+    # Brown & Colbourn 1992 conjectured that the roots of the all-terminal
+    # reliability R(G; p) of a connected graph lie in |p - 1| <= 1; Royle &
+    # Sokal 2004 disproved it on graphs far larger than these.  The roots of
+    # R are those of r = R / p^(n-1) plus p = 0.  r(0) = T(G; 1, 1) counts
+    # spanning trees, so r has no root at 0.  The roots are certified
+    # numerically; an exact count in the disk waits on Schur-Cohn.
+    connected = [g for g in GRAPHS if g.n <= 7 and component_count(g) == 1]
+    assert len(connected) == 996
+    worst, at, outside = 0.0, None, []
+    for g in connected:
+        r = reliability_poly(tutte_poly(g), g.m - g.n + 1)
+        if r.degree < 1:  # a tree: r = 1
+            continue
+        for z, _ in complex_roots(r):
+            if abs(z - 1) > 1:
+                outside.append((graph_to_graph6(g), z))
+            if abs(z - 1) > worst:
+                worst, at = abs(z - 1), graph_to_graph6(g)
+    print(f"Brown-Colbourn 1992: {len(outside)} roots outside |p - 1| <= 1 "
+          f"on {len(connected)} connected graphs with n <= 7; the worst "
+          f"|p - 1| is {worst:.4f}, at {at}")
+    assert outside == []

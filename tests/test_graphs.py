@@ -394,6 +394,21 @@ class TestAutomorphisms:
                 {key(g, nb) for nb in range(64)}
         assert kept < 156 * 64
 
+    def test_orbit_representatives_one_per_orbit(self):
+        # orbits of the full automorphism group, found by trying every
+        # vertex permutation, hold exactly one representative each
+        for g in enumerate_graphs(6):
+            group = [p for p in itertools.permutations(range(6))
+                     if all(g.masks[p[u]] >> p[v] & 1 for u, v in g.edges)]
+
+            def orbit(s):
+                return min(sum(1 << p[v] for v in range(6) if s >> v & 1)
+                           for p in group)
+
+            reps = list(_orbit_reps(range(64), _canon_search(6, g.masks)[1]))
+            assert sorted(map(orbit, reps)) == \
+                sorted(set(map(orbit, range(64))))
+
 
 class TestEnumeration:
     def test_counts_small(self):

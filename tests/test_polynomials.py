@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from grpoly.polynomials import (BASES, BINOMIAL, FALLING, POWER, IntPoly,
@@ -204,6 +204,32 @@ class TestEvaluate:
 
     def test_rational_point_exact(self):
         assert evaluate(poly(1, 0, -2), Fraction(1, 2)) == Fraction(1, 2)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12).map(
+               lambda cs: IntPoly(tuple(cs))),
+           st.one_of(st.integers(-50, 50),
+                     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                               st.integers(1, 10 ** 6))))
+    @example(IntPoly(()), 0)
+    @example(IntPoly(()), Fraction(-3, 7))
+    @example(poly(5, 0, -1), Fraction(0))
+    @settings(max_examples=200)
+    def test_exact_points_match_fraction_horner(self, p, x):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        got = evaluate(p, x)
+        assert got == acc
+        assert type(got) is (Fraction if isinstance(x, Fraction) else int)
+
+    @given(small_polys, st.complex_numbers(max_magnitude=10))
+    @settings(max_examples=50)
+    def test_complex_points_keep_float_horner(self, p, z):
+        acc = 0j
+        for c in reversed(p.coeffs):
+            acc = acc * z + c
+        got = evaluate(p, z)
+        assert type(got) is complex and got == acc
 
 
 class TestReverse:
