@@ -23,7 +23,7 @@ from .graphs import Graph, complement, component_count
 from .polynomials import FALLING, POWER, IntPoly, MultiPoly, convert_basis
 
 CHROMATIC_MAX_N = 10
-TUTTE_MAX_N = 9
+TUTTE_MAX_N = 12
 SUBSET_CAP_BITS = 24
 
 FAMILY_NAMES = ("charA", "charL", "charCycle", "matchingDefect",

@@ -318,10 +318,14 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # bits, column by column, most significant first (graph6's bit order); keys
 # of one n have one length, so they order as the bitstrings do.  The
 # canonical key is the least over the vertex orders that respect the cell
-# order, found by a search pruned against the best key so far; a discrete
-# refinement (almost every graph) needs no search.  The automorphisms met on
-# the way generate the whole group: a leaf that ties the best ordering maps
-# one onto the other, and a skipped twin stands for the twins' transposition.
+# order, found by a search pruned against the best key so far.  A refinement
+# whose cells are all singletons or sets of mutual twins (N(u) - v = N(v) - u)
+# needs no search: swapping two twins is an automorphism, so every order that
+# respects the cells gives one key, and since every automorphism fixes each
+# cell, the transpositions of a cell's first vertex with the others generate
+# the group.  Otherwise the automorphisms met on the way generate it: a leaf
+# that ties the best ordering maps one onto the other, and a skipped twin
+# stands for the twins' transposition.
 
 def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
     """Equitable partition of the vertices, as cells in signature order.
@@ -332,15 +336,23 @@ def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
     neighbours of the first colour where two counts differ has the smaller
     tuple, so later rounds split by count vectors, descending, packed into
     ints of n.bit_length() bits per colour (a count is at most n - 1).
+
+    A round counts only against the parts of the cells that split in the
+    round before, less each such cell's last part.  The rest of a vertex's
+    count vector is fixed by its cell: the vertices of a cell have equal
+    counts against every cell of the round before, so against an unsplit
+    cell, and a last part's count is the whole cell's less the other parts'.
+    Within a cell the shorter vectors therefore order as the full ones do.
     """
     width = n.bit_length()
     parts: dict[int, list[int]] = {}
     for v in range(n):
         parts.setdefault(masks[v].bit_count(), []).append(v)
-    cells, split = [], [parts[d] for d in sorted(parts)]
-    while len(cells) < len(split) < n:  # until no split or all singletons
-        cells, split = split, []
-        cellmasks = [sum(map((1).__lshift__, cell)) for cell in cells]
+    cells = [parts[d] for d in sorted(parts)]
+    fresh = cells[:-1]  # the whole vertex set split by degree
+    while fresh and len(cells) < n:  # until no split or all singletons
+        cellmasks = [sum(map((1).__lshift__, cell)) for cell in fresh]
+        split, fresh = [], []
         for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
@@ -351,8 +363,14 @@ def _refine_cells(n: int, masks: Sequence[int]) -> list[list[int]]:
                 for cm in cellmasks:
                     counts = counts << width | (row & cm).bit_count()
                 parts.setdefault(counts, []).append(v)
-            split.extend(parts[c] for c in sorted(parts, reverse=True))
-    return split
+            if len(parts) == 1:
+                split.append(cell)
+                continue
+            new = [parts[c] for c in sorted(parts, reverse=True)]
+            split += new
+            fresh += new[:-1]
+        cells = split
+    return cells
 
 
 def _order_key(masks: Sequence[int], order: Sequence[int]) -> int:
@@ -376,11 +394,14 @@ def _canon_search(n: int, masks: Sequence[int]
     top bits of the best key leads to no smaller key.
     """
     cells = _refine_cells(n, masks)
-    if len(cells) == n:
-        return _order_key(masks, [c[0] for c in cells]), []
+    twins = [(cell[0], v) for cell in cells for v in cell[1:]]
+    if all((masks[u] ^ masks[v]) & ~(1 << u | 1 << v) == 0 for u, v in twins):
+        return (_order_key(masks, [v for cell in cells for v in cell]),
+                [_transposition(n, u, v) for u, v in twins])
 
     total = n * (n - 1) // 2
     cell_of_pos = [cell for cell in cells for _ in cell]
+    shifts = [total - i * (i + 1) // 2 for i in range(n)]  # after column i
     best = 1 << total  # above every key, and its top bits above every prefix
     best_order: list[int] = []
     autos: set[tuple[int, ...]] = set()
@@ -388,21 +409,22 @@ def _canon_search(n: int, masks: Sequence[int]
 
     def dfs(i: int, prefix: int):
         nonlocal best, best_order
-        tried, shift = [], total - i * (i + 1) // 2  # key bits after column i
+        tried, shift = [], shifts[i]
         for v in cell_of_pos[i]:
             if used[v]:
                 continue
             # a twin u of v already tried here gives the automorphism (u v),
             # which fixes the placed prefix, so v's subtree repeats u's
-            twin = next((u for u in tried if (masks[u] ^ masks[v])
-                         & ~(1 << u | 1 << v) == 0), None)
-            if twin is not None:
-                perm = list(range(n))
-                perm[twin], perm[v] = v, twin
-                autos.add(tuple(perm))
+            row, twin = masks[v], -1
+            for u in tried:
+                if (masks[u] ^ row) & ~(1 << u | 1 << v) == 0:
+                    twin = u
+                    break
+            if twin >= 0:
+                autos.add(_transposition(n, twin, v))
                 continue
             tried.append(v)
-            row, cand = masks[v], prefix
+            cand = prefix
             for u in placed[:i]:
                 cand = cand << 1 | row >> u & 1
             if cand > best >> shift:
@@ -419,6 +441,12 @@ def _canon_search(n: int, masks: Sequence[int]
 
     dfs(0, 0)
     return best, list(autos)
+
+
+def _transposition(n: int, u: int, v: int) -> tuple[int, ...]:
+    perm = list(range(n))
+    perm[u], perm[v] = v, u
+    return tuple(perm)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -460,12 +488,14 @@ def _canon_graph(n: int, key: int) -> Graph:
 # representative for the subsets of every size.  Only extensions whose new
 # vertex maximizes (degree, sum of neighbour degrees) over the extended graph
 # reach the canonical search (the invariant test of McKay's canonical
-# augmentation), and only subsets that leave no vertex of higher degree than
-# the new one are generated.  Every class still arrives: delete a maximizing
-# vertex v of any n-graph, and the representative of what is left, extended
-# by the image of v's neighbours, is isomorphic to it with the new vertex in
-# v's place.  Each level is kept as its canonical keys in enumeration order;
-# graphs, the next level's parent masks and graph6 lines are built from them.
+# augmentation); the test reads both from the parent's degrees and
+# neighbour-degree sums, so an extension's masks are built only once it
+# passes.  Only subsets that leave no vertex of higher degree than the new one
+# are generated.  Every class still arrives: delete a maximizing vertex v of
+# any n-graph, and the representative of what is left, extended by the image
+# of v's neighbours, is isomorphic to it with the new vertex in v's place.
+# Each level is kept as its canonical keys in enumeration order; graphs, the
+# next level's parent masks and graph6 lines are built from them.
 
 _ENUM_CACHE: dict[int, list[int]] = {}
 
@@ -514,19 +544,24 @@ def _augment(reps: list[tuple[int, ...]], n: int) -> set[int]:
     for adj in reps:
         autos = _canon_search(n - 1, adj)[1]
         base = [row.bit_count() for row in adj]
+        around = [sum(base[u] for u in range(n - 1) if row >> u & 1)
+                  for row in adj]
         subsets = itertools.chain.from_iterable(
             map(sum, itertools.combinations(
                 [1 << v for v in range(n - 1) if base[v] < k], k))
             for k in range(max(base), n))
         for nb in _orbit_reps(subsets, autos):
+            # v's degree d and neighbour-degree sum s become d + [v in nb]
+            # and s + |N(v) & nb| + k [v in nb]; no vertex of degree k may
+            # beat the new vertex's sum, k + (the sum of d over nb)
             k = nb.bit_count()
+            mine = k + sum(base[v] for v in range(n - 1) if nb >> v & 1)
+            if any(around[v] + (adj[v] & nb).bit_count()
+                   + (k if nb >> v & 1 else 0) > mine
+                   for v in range(n - 1) if base[v] + (nb >> v & 1) == k):
+                continue
             ext = [row | new_bit if nb >> i & 1 else row
                    for i, row in enumerate(adj)] + [nb]
-            deg = [row.bit_count() for row in ext]
-            around = [sum(deg[u] for u in range(n) if row >> u & 1)
-                      if deg[v] == k else 0 for v, row in enumerate(ext)]
-            if max(around) > around[-1]:
-                continue
             keys.add(_canon_search(n, ext)[0])
     return keys
 

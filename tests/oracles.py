@@ -5,9 +5,9 @@ library paths it checks: determinants by fraction Gaussian elimination,
 isomorphism by permutation search, colorings/matchings/covers by direct
 subset enumeration, class counts by the orbit-counting formula, tree shapes
 by decoding every Prüfer sequence, colour refinement by sorted signature
-tuples.  The Tutte bundle recursion is the one exception: it is the library's
-own algorithm, kept here over dicts of terms as the reference for the packed
-version that replaced it.
+tuples.  Two are exceptions, the library's own algorithms kept as references
+for the faster versions that replaced them: the Tutte bundle recursion over
+dicts of terms, and the canonical search that searched twin cells too.
 """
 
 from fractions import Fraction
@@ -103,6 +103,58 @@ def refine_cells_reference(n: int, masks) -> list[list[int]]:
     for v in range(n):
         cells.setdefault(color[v], []).append(v)
     return [cells[c] for c in sorted(cells)]
+
+
+def canon_search_reference(n: int, masks) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical key and automorphism generators; the reference for
+    ``graphs._canon_search``.
+
+    The library's search before it skipped twin cells: a DFS over every
+    vertex order that respects the cells of ``refine_cells_reference``,
+    keeping the least key, pruned against the best key's top bits and at
+    twins already tried.  A discrete partition walks its one branch.
+    """
+    cells = refine_cells_reference(n, masks)
+    total = n * (n - 1) // 2
+    cell_of_pos = [cell for cell in cells for _ in cell]
+    best = 1 << total  # above every key, and its top bits above every prefix
+    best_order: list[int] = []
+    autos: set[tuple[int, ...]] = set()
+    placed, used = [0] * n, [False] * n
+
+    def dfs(i: int, prefix: int):
+        nonlocal best, best_order
+        tried, shift = [], total - i * (i + 1) // 2  # key bits after column i
+        for v in cell_of_pos[i]:
+            if used[v]:
+                continue
+            # a twin u of v already tried here gives the automorphism (u v),
+            # which fixes the placed prefix, so v's subtree repeats u's
+            twin = next((u for u in tried if (masks[u] ^ masks[v])
+                         & ~(1 << u | 1 << v) == 0), None)
+            if twin is not None:
+                perm = list(range(n))
+                perm[twin], perm[v] = v, twin
+                autos.add(tuple(perm))
+                continue
+            tried.append(v)
+            row, cand = masks[v], prefix
+            for u in placed[:i]:
+                cand = cand << 1 | row >> u & 1
+            if cand > best >> shift:
+                continue
+            placed[i] = v
+            if i + 1 < n:
+                used[v] = True
+                dfs(i + 1, cand)
+                used[v] = False
+            elif cand < best:
+                best, best_order = cand, placed.copy()
+            else:
+                autos.add(tuple(w for _, w in sorted(zip(best_order, placed))))
+
+    dfs(0, 0)
+    return best, list(autos)
 
 
 def labeled_class_count(n: int) -> int:

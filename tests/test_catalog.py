@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from math import comb
 
@@ -279,7 +280,7 @@ class TestTutte:
 
     def test_matches_bundle_reference(self):
         # the dense n = 8 graphs fill the most result slots and contract
-        # into the largest bundles; K9 is the largest graph allowed
+        # into the largest bundles; n = 10 is checked below
         graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
         graphs += [g for g in enumerate_graphs(8) if g.m >= 22]
         graphs.append(named_graph("complete", 9))
@@ -307,6 +308,27 @@ class TestTutte:
     def test_cayley_spanning_trees_of_complete_graph(self, n):
         assert tutte_poly(named_graph("complete", n)).evaluate((1, 1)) == \
             n ** (n - 2)
+
+    def test_matches_bundle_reference_at_ten(self):
+        petersen = graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)])
+        rng = random.Random(41)
+        rand10 = graph(10, [e for e in itertools.combinations(range(10), 2)
+                            if rng.random() < 0.5])
+        for g in (named_graph("complete", 10), petersen, rand10):
+            assert tutte_poly(g).terms == tutte_bundles_reference(g).terms
+        # the Petersen graph has 2000 spanning trees
+        assert tutte_poly(petersen).evaluate((1, 1)) == 2000
+
+    def test_k11_spanning_trees_and_edge_subsets(self):
+        t = tutte_poly(named_graph("complete", 11))
+        assert t.evaluate((1, 1)) == 11 ** 9
+        assert t.evaluate((2, 2)) == 2 ** 55
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError, match="n <= 12"):
+            tutte_poly(graph(13))
 
 
 class TestSubsetFamilies:

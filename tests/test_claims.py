@@ -1,11 +1,13 @@
 """Exact checks of three cited root-location theorems on every graph, n <= 8,
-and a numeric check of one disproved conjecture on n <= 7.
+a numeric check of a fourth on n <= 8, and a numeric check of one disproved
+conjecture on n <= 7.
 
 The three theorems are statements about real roots, so the exact layer decides
 them with no numerics: half-open Sturm counts over (a, b] plus the exact
-integer roots for the open endpoints.  The Brown-Colbourn disk is checked on
-certified numeric roots until exact disk counts (Schur-Cohn) exist.  A failure
-here is a reproduction discrepancy to report, not a tolerance to tune.
+integer roots for the open endpoints.  Csikvari's smallest-modulus root and
+the Brown-Colbourn disk are checked on certified numeric roots until exact
+disk counts (Schur-Cohn) exist.  A failure here is a reproduction discrepancy
+to report, not a tolerance to tune.
 """
 
 import itertools
@@ -127,3 +129,30 @@ def test_brown_colbourn_reliability_roots_in_unit_disk_about_one():
           f"on {len(connected)} connected graphs with n <= 7; the worst "
           f"|p - 1| is {worst:.4f}, at {at}")
     assert outside == []
+
+
+def test_csikvari_smallest_independence_root_is_real():
+    # Csikvari 2013: the independence polynomial has a real root of smallest
+    # modulus.  I(G; 0) = 1, so no root is 0.  Real roots are certified by
+    # the Sturm count (their imaginary part is exactly 0.0); the moduli are
+    # compared numerically until exact disk counts (Schur-Cohn) exist.
+    no_real, violations, closest, at = [], [], inf, None
+    for g in GRAPHS:
+        roots = [z for z, _ in
+                 complex_roots(subset_counting_poly(g, "independence"))]
+        real = [abs(z) for z in roots if z.imag == 0.0]
+        other = [abs(z) for z in roots if z.imag != 0.0]
+        if not real:
+            no_real.append(graph_to_graph6(g))
+            continue
+        if other:
+            ratio = min(other) / min(real)
+            if ratio < 1:
+                violations.append(graph_to_graph6(g))
+            if ratio < closest:
+                closest, at = ratio, graph_to_graph6(g)
+    print(f"Csikvari 2013: {len(violations)} violations on {len(GRAPHS)} "
+          f"graphs with n <= 8 {violations}; the closest ratio of smallest "
+          f"non-real to smallest real root modulus is {closest:.4f}, at {at}")
+    assert no_real == []
+    assert violations == []
