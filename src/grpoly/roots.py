@@ -5,12 +5,14 @@ from primitive pseudo-remainder sequences and divides exactly (by Gauss's
 lemma a primitive divisor leaves an integer quotient), and real-rootedness is
 certified by an integer Sturm chain of the squarefree part; zero roots come
 from the valuation, never from numerics.  Complex roots are numeric only:
-Aberth-Ehrlich iteration per Yun factor, each root frozen once its residual
-reaches rounding level, so multiplicities are exact while positions carry a
-checked backward error.  Every result is certified: the Weierstrass inclusion
-disks of each factor are pairwise disjoint, and as many meet the real axis as
-the Sturm chain counts real roots, or RootFindingError is raised; the roots
-in the disks that meet the axis are then real and get imaginary part 0.
+Aberth-Ehrlich iteration per Yun factor, started from Bini's (1996) points on
+one circle per edge of the factor's Newton polygon and each root frozen once
+its residual reaches rounding level, so multiplicities are exact while
+positions carry a checked backward error.  Every result is certified: the
+Weierstrass inclusion disks of each factor are pairwise disjoint, and as many
+meet the real axis as the Sturm chain counts real roots, or RootFindingError
+is raised; the roots in the disks that meet the axis are then real and get
+imaginary part 0.
 ``root_report`` makes one exact pass and reads every exact field off it.
 """
 
@@ -19,10 +21,11 @@ from __future__ import annotations
 import cmath
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, inf, prod
+from math import gcd, inf, log, pi, prod
 
 from .polynomials import IntPoly
 
@@ -205,11 +208,6 @@ def _profile(chain: list[list[int]], zero: int) -> tuple[int, int, int]:
     return (neg, zero, v0 - _variations(chain, inf))
 
 
-def _real_rooted(chain: list[list[int]]) -> bool:
-    return (_variations(chain, -inf) - _variations(chain, inf)
-            == len(chain[0]) - 1)
-
-
 def sturm_count(p: IntPoly, interval: tuple) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
@@ -228,7 +226,9 @@ def sturm_count(p: IntPoly, interval: tuple) -> int:
 def is_real_rooted(p: IntPoly) -> bool:
     """True iff every complex root of p is real (constant polys vacuously)."""
     _require_nonzero(p)
-    return _real_rooted(_sturm(_squarefree(p)[1]))
+    chain = _sturm(_squarefree(p)[1])
+    return (_variations(chain, -inf) - _variations(chain, inf)
+            == len(chain[0]) - 1)
 
 
 def sign_profile(p: IntPoly) -> tuple[int, int, int]:
@@ -301,30 +301,58 @@ def integer_roots(p: IntPoly) -> dict[int, int]:
 
 # -- numeric complex roots -------------------------------------------------------
 
-def _float_coeffs(p: IntPoly) -> list[float]:
-    """p scaled by its largest |coefficient|; raises RootFindingError when a
-    nonzero coefficient would not be a normal float."""
-    scale = max(abs(c) for c in p.coeffs)
-    out = [float(Fraction(c, scale)) for c in p.coeffs]
-    if any(c and abs(x) < sys.float_info.min for c, x in zip(p.coeffs, out)):
+def _float_coeffs(coeffs: Sequence[int]) -> list[float]:
+    """coeffs scaled by their largest |coefficient|; raises RootFindingError
+    when a nonzero coefficient would not be a normal float."""
+    scale = max(abs(c) for c in coeffs)
+    out = [c / scale for c in coeffs]  # int true division rounds correctly
+    if any(c and abs(x) < sys.float_info.min for c, x in zip(coeffs, out)):
         raise RootFindingError("a nonzero coefficient underflows the float "
                                "range after scaling")
     return out
 
 
+def _start_points(coeffs: list[float]) -> list[complex]:
+    """Bini's starting points: one circle per edge of the Newton polygon.
+
+    An edge (i, j) of the upper convex hull of the points (k, log|a_k|)
+    puts j - i points, evenly spaced, on the circle of radius
+    (|a_i| / |a_j|)^(1 / (j - i)), where about j - i roots lie.  The angle
+    offset 2 pi i / d + 0.7 keeps every point off the real axis and the
+    circles out of line with one another.
+    """
+    d = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if c:
+            y = log(abs(c))
+            while len(hull) > 1:
+                (i0, y0), (i1, y1) = hull[-2:]
+                if (i1 - i0) * (y - y0) < (y1 - y0) * (k - i0):
+                    break  # hull[-1] lies above the chord to (k, y)
+                hull.pop()
+            hull.append((k, y))
+    zs = []
+    for (i, _), (j, _) in zip(hull, hull[1:]):
+        radius = (abs(coeffs[i]) / abs(coeffs[j])) ** (1 / (j - i))
+        zs += [cmath.rect(radius, 2 * pi * (k / (j - i) + i / d) + 0.7)
+               for k in range(j - i)]
+    return zs
+
+
 def _aberth(coeffs: list[float]) -> tuple[list[complex], list[float]]:
     """Aberth-Ehrlich simultaneous iteration on a squarefree polynomial.
 
-    A root is frozen once |p(z)| <= 4 d eps sum_i |a_i||z|^i, the rounding
-    level of its Horner evaluation (Bini 1996); each sweep moves only the
+    Following Bini 1996, the iterates start on the Newton-polygon circles
+    of ``_start_points``, each near the modulus of as many roots as it
+    holds points, so the number of sweeps stays flat as the degree grows;
+    and a root is frozen once |p(z)| <= 4 d eps sum_i |a_i||z|^i, the
+    rounding level of its Horner evaluation.  Each sweep moves only the
     roots still active, and the iteration ends when none are left.  Returns
     the roots and, per root, |p(z)| plus that rounding level.
     """
     d = len(coeffs) - 1
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1]) if d else 1.0
-    zs = [radius * 0.8 * cmath.exp(2j * cmath.pi * (k + 0.353) / d)
-          for k in range(d)]
+    zs = _start_points(coeffs)
     terms = [(c, abs(c)) for c in reversed(coeffs)]
     level = 4 * d * 2.0 ** -53
     errs = [0.0] * d
@@ -396,7 +424,7 @@ def backward_error(p: IntPoly, z: complex) -> float:
 
     The c_i are the power-basis coefficients of p.
     """
-    return _residual(_float_coeffs(p), z)
+    return _residual(_float_coeffs(p.coeffs), z)
 
 
 def complex_roots(p: IntPoly) -> list[tuple[complex, int]]:
@@ -420,9 +448,9 @@ def _complex_roots(p: IntPoly, val: int, factors: list, real: int
     against RESIDUAL_TOL and the Sturm count ``real`` of nonzero real roots."""
     # p(0) = 0 exactly, so a zero root's backward error is 0.0
     found: list[tuple[complex, int, float]] = [(0j, val, 0.0)] if val else []
-    norm = _float_coeffs(p)
+    norm = _float_coeffs(p.coeffs)
     for factor, mult in factors:
-        coeffs = _float_coeffs(IntPoly(factor))
+        coeffs = _float_coeffs(factor)
         zs, errs = _aberth(coeffs)
         on_axis = _real_disks(coeffs[-1], zs, errs)
         real -= len(on_axis)
@@ -506,8 +534,7 @@ def root_report(p: IntPoly) -> RootReport:
     """Every root fact of p, from one exact pass and one numeric pass."""
     _require_nonzero(p)
     val, sf, factors = _squarefree(p)
-    chain = _sturm(sf)
-    neg, zero, pos = _profile(chain, 1 if val else 0)
+    neg, zero, pos = _profile(_sturm(sf), 1 if val else 0)
     found = (_complex_roots(p, val, factors, neg + pos)
              if p.degree >= 1 else [])
     croots = tuple((z, m) for z, m, _ in found)
@@ -518,7 +545,7 @@ def root_report(p: IntPoly) -> RootReport:
         negative_real=neg,
         zero_root=zero,
         positive_real=pos,
-        real_rooted=_real_rooted(chain),
+        real_rooted=neg + zero + pos == len(sf) - 1,  # v(-inf) - v(inf)
         integer_roots=_integer_roots(val, factors),
         complex_roots=croots,
         residuals=residuals,

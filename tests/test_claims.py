@@ -1,16 +1,17 @@
 """Exact checks of three cited root-location theorems on every graph, n <= 8,
-a numeric check of a fourth on n <= 8, and a numeric check of one disproved
-conjecture on n <= 7.
+a numeric check of a fourth on n <= 8, numeric checks of two disk bounds on
+n <= 7, and a numeric check of one disproved conjecture on n <= 7.
 
 The three theorems are statements about real roots, so the exact layer decides
 them with no numerics: half-open Sturm counts over (a, b] plus the exact
-integer roots for the open endpoints.  Csikvari's smallest-modulus root and
-the Brown-Colbourn disk are checked on certified numeric roots until exact
-disk counts (Schur-Cohn) exist.  A failure here is a reproduction discrepancy
-to report, not a tolerance to tune.
+integer roots for the open endpoints.  Csikvari's smallest-modulus root, the
+Sokal and Csikvari-Oboudi disks and the Brown-Colbourn disk are checked on
+certified numeric roots until exact disk counts (Schur-Cohn) exist.  A
+failure here is a reproduction discrepancy to report, not a tolerance to tune.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import inf
 
@@ -156,3 +157,55 @@ def test_csikvari_smallest_independence_root_is_real():
           f"non-real to smallest real root modulus is {closest:.4f}, at {at}")
     assert no_real == []
     assert violations == []
+
+
+def test_sokal_chromatic_roots_in_degree_disk():
+    # Sokal 2001: every chromatic root of a graph of maximum degree D lies
+    # in |z| <= 7.963907 D.  Small graphs are far inside; the worst ratio
+    # |z| / D is the finding.  Many graphs reach it up to rounding (every
+    # K_(D+1) component has the root D), so they are counted, not ranked.
+    # Edgeless graphs (D = 0) have only the root 0.
+    graphs = [g for g in GRAPHS if g.n <= 7]
+    assert len(graphs) == 1252
+    ratios, violations = {}, []
+    for g in graphs:
+        top = max(g.degree(v) for v in range(g.n))
+        for z, _ in complex_roots(chromatic_poly(g)):
+            if abs(z) > 7.963907 * top:
+                violations.append((graph_to_graph6(g), z))
+            if top:
+                g6 = graph_to_graph6(g)
+                ratios[g6] = max(ratios.get(g6, 0.0), abs(z) / top)
+    worst = max(ratios.values())
+    at = [g6 for g6, r in ratios.items() if r >= worst - 1e-9]
+    print(f"Sokal 2001: {len(violations)} chromatic roots outside "
+          f"|z| <= 7.963907 D on {len(graphs)} graphs with n <= 7; the worst "
+          f"|z| / D is {worst:.4f}, reached to 1e-9 by {len(at)} graphs "
+          f"from {at[0]} to {at[-1]}")
+    assert violations == []
+
+
+def test_csikvari_oboudi_edge_cover_roots_in_ball():
+    # Csikvari & Oboudi 2011: every edge-cover root lies in
+    # |z| <= (1 + sqrt 3)^3 / 4.  Criterion 08 checks n <= 6; this checks
+    # every graph with n = 7.  A graph with an isolated vertex has no edge
+    # cover, so its polynomial is zero and has no roots to check.
+    ball = (1 + math.sqrt(3)) ** 3 / 4
+    graphs = [g for g in GRAPHS if g.n == 7]
+    assert len(graphs) == 1044
+    worst, at, outside, checked = 0.0, None, [], 0
+    for g in graphs:
+        p = subset_counting_poly(g, "edgeCover")
+        if p.is_zero():
+            continue
+        for z, _ in complex_roots(p):
+            if abs(z) > ball:
+                outside.append((graph_to_graph6(g), z))
+            if abs(z) > worst:
+                worst, at = abs(z), graph_to_graph6(g)
+        checked += 1
+    print(f"Csikvari-Oboudi 2011: {len(outside)} edge-cover roots outside "
+          f"|z| <= {ball:.4f} on {checked} of {len(graphs)} graphs with "
+          f"n = 7 (the rest have no edge cover); the largest |z| is "
+          f"{worst:.4f}, at {at}")
+    assert outside == []

@@ -411,6 +411,27 @@ class TestCertifiedRoots:
                     reports += 1
         assert reports == 13563
 
+    def test_n7_certifies_within_20_sweeps(self, monkeypatch):
+        # Newton-polygon starts keep every factor at n = 7 within 16 sweeps;
+        # a single Cauchy-radius circle needed up to 92 (edgeCover of K7)
+        # (root_report raises unless every factor certifies)
+        monkeypatch.setattr(roots, "ABERTH_MAX_ITER", 20)
+        families = set()
+        for g in enumerate_graphs(7):
+            for fam in UNIVARIATE:
+                p = family_polynomial(fam, g)
+                if not p.is_zero():
+                    root_report(p)
+                    families.add(fam)
+        assert {"edgeCover", "charL"} <= families
+
+    def test_start_circles_follow_root_moduli(self):
+        p = from_roots([(10 ** k, 1) for k in range(5)])
+        starts = sorted(abs(z) for z in
+                        roots._start_points(roots._float_coeffs(p.coeffs)))
+        for s, r in zip(starts, (10 ** k for k in range(5)), strict=True):
+            assert r / 2 <= s <= 2 * r, (starts, r)
+
     def test_duplicated_iterates_raise(self, monkeypatch):
         # both iterates at sqrt(2): each passes the backward-error gate, but
         # the two inclusion disks are unbounded and overlap
@@ -495,3 +516,19 @@ class TestRootScatterScript:
                       for g in enumerate_graphs(6)
                       if not family_polynomial(fam, g).is_zero())
         assert len(rows) - 1 == degrees == 1936
+
+
+class TestRootSweepScript:
+    def test_n5_certifies(self):
+        repo = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "root_sweep.py"),
+             "--nmax", "5"], capture_output=True, text=True, cwd=repo)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        reports = sum(1 for n in range(1, 6) for g in enumerate_graphs(n)
+                      for fam in UNIVARIATE
+                      if not family_polynomial(fam, g).is_zero())
+        assert lines[:2] == [f"reports: {reports}", "RootFindingError: 0"]
+        assert reports == 553
+        assert lines[2].startswith("wall: ") and len(lines) == 3
