@@ -5,7 +5,7 @@ Runs ``root_report`` on each nonzero family polynomial and prints the number
 of reports, the RootFindingError count per (family, message) and the wall
 time.  A clean sweep prints no error lines.
 
-Usage: python scripts/root_sweep.py --nmax 8 [--families edgeCover,charL]
+Usage: python scripts/root_sweep.py --nmax 8
 """
 
 import argparse
@@ -18,17 +18,10 @@ from grpoly.roots import RootFindingError, root_report
 
 
 def main() -> int:
-    univariate = [f for f in FAMILY_NAMES if FAMILY_ARITY[f] == 1]
+    families = [f for f in FAMILY_NAMES if FAMILY_ARITY[f] == 1]
     parser = argparse.ArgumentParser()
     parser.add_argument("--nmax", type=int, required=True)
-    parser.add_argument("--families", default=",".join(univariate),
-                        help="comma-separated univariate family names "
-                             "(default: all of them)")
     args = parser.parse_args()
-    families = args.families.split(",")
-    unknown = [f for f in families if f not in univariate]
-    if unknown:
-        parser.error(f"not univariate families: {', '.join(unknown)}")
 
     start = time.perf_counter()
     reports, errors = 0, Counter()
