@@ -131,7 +131,13 @@ def evaluate(p: IntPoly, x):
 
 
 def substitute(p: IntPoly, inner: IntPoly) -> IntPoly:
-    """Exact composition p(inner(X))."""
+    """Exact composition p(inner(X)), by Horner over whole polynomials.
+
+    This is the general composition, O(d^2) coefficient products for a
+    degree-d p and a linear inner.  The named sign, parity and scale
+    transforms are coefficient maps of their own; this is the reference the
+    tests compare them against.
+    """
     acc = ZERO
     for c in reversed(p.coeffs):
         acc = acc * inner + IntPoly((c,))

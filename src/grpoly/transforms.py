@@ -7,6 +7,12 @@ interleave/realify pipeline forces all roots onto the integers 0..s, the
 dense prefactors adjoin root sets that are dense on the half-line or in the
 plane, and coefficient-bounded scaling pulls every root into the disk of
 radius 2.
+
+The sign, parity and scale substitutions are coefficient maps, each O(d) on
+a degree-d input: P(-X) sends h_i to (-1)^i h_i, P(X^2) moves h_i to slot
+2i with zeros between, and P(aX) sends h_i to h_i a^i.  They equal the
+general composition ``polynomials.substitute`` with inner polynomial -X, X^2
+and aX, which the tests compare them against.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Sequence
 
 from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
 from .polynomials import (IntPoly, ONE, ZERO, divide_out_root, from_roots,
-                          int_text, poly_wire, substitute)
+                          int_text, poly_wire)
 from .roots import backward_error, is_real_rooted
 
 MAX_WITNESS_EDGES = 5_000_000
@@ -54,13 +60,22 @@ class TransformRecord:
 # -- sign and parity substitutions ---------------------------------------------
 
 def negate_variable(p: IntPoly) -> IntPoly:
-    """P(-X).  Non-negative input coefficients leave no negative real roots."""
-    return substitute(p, IntPoly((0, -1)))
+    """P(-X), the map h_i -> (-1)^i h_i.
+
+    Non-negative input coefficients leave no negative real roots.
+    """
+    return IntPoly(tuple(-c if i & 1 else c for i, c in enumerate(p.coeffs)))
 
 
 def square_variable(p: IntPoly) -> IntPoly:
-    """P(X^2).  Non-negative input coefficients leave no real roots but 0."""
-    return substitute(p, IntPoly((0, 0, 1)))
+    """P(X^2): h_i moves to slot 2i, with zeros in the odd slots.
+
+    The zero polynomial stays zero.  Non-negative input coefficients leave no
+    real roots but 0.
+    """
+    out = [0] * (2 * len(p.coeffs) - 1) if p.coeffs else []
+    out[::2] = p.coeffs
+    return IntPoly(tuple(out))
 
 
 # -- signed coefficients -> non-negative, bijectively ----------------------------
@@ -240,31 +255,51 @@ class DensityWitness:
         return obj
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0, without building the Fraction."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        return q + 1
+    return q
+
+
 def _approximate_target(re: Fraction, im: Fraction, eps: Fraction
                         ) -> tuple[int, int, int]:
     """Pairwise-distinct positive a, b, c with |(a+bi)/c - target| < eps.
 
     Denominators are tried in increasing order; when rounding collides
     (a = b, or equal to c), the numerators are nudged by one, taking the
-    closest admissible variant.
+    closest admissible variant.  With re = p1/q1, im = p2/q2 and eps = e1/e2
+    the squared distance is D / (c q1 q2)^2, where
+    D = (a q1 - p1 c)^2 q2^2 + (b q2 - p2 c)^2 q1^2, so the search runs in Z:
+    a candidate is within eps exactly when D e2^2 < (e1 c q1 q2)^2, and the
+    candidates of one c are ranked by D.
     """
-    eps_sq = eps * eps
+    p1, q1 = re.numerator, re.denominator
+    p2, q2 = im.numerator, im.denominator
+    e1, e2 = eps.numerator, eps.denominator
+    q1_sq, q2_sq, e2_sq, e1_q = q1 * q1, q2 * q2, e2 * e2, e1 * q1 * q2
     c = 0
     # by c ~ 3/eps even nudged numerators are within eps; scan a bit beyond.
     # beyond ~2000 the scaled witness would blow the edge cap anyway, so the
     # scan cap reports instead of spinning.
-    c_cap = min(int(6 / eps) + 16, 20000)
+    c_cap = min(6 * e2 // e1 + 16, 20000)
     while c < c_cap:
         c += 1
-        a0 = max(1, round(re * c))
-        b0 = max(1, round(im * c))
+        pc1, pc2 = p1 * c, p2 * c
+        a0 = max(1, _round_half_even(pc1, q1))
+        b0 = max(1, _round_half_even(pc2, q2))
+        limit = (e1_q * c) ** 2
         best = None
         for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
+            if a < 1 or a == c:
+                continue
+            da = (a * q1 - pc1) ** 2 * q2_sq
             for b in (b0, b0 - 1, b0 + 1, b0 - 2, b0 + 2):
-                if a < 1 or b < 1 or a == b or a == c or b == c:
+                if b < 1 or a == b or b == c:
                     continue
-                d = (Fraction(a, c) - re) ** 2 + (Fraction(b, c) - im) ** 2
-                if d < eps_sq and (best is None or d < best[0]):
+                d = da + (b * q2 - pc2) ** 2 * q1_sq
+                if d * e2_sq < limit and (best is None or d < best[0]):
                     best = (d, a, b)
         if best is not None:
             return best[1], best[2], c
@@ -316,7 +351,11 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
 # -- disk bounding -----------------------------------------------------------------
 
 def rouche_scale(p: IntPoly, a: int) -> IntPoly:
-    """P(a*X); with a >= max |h_i| (i < d) every root lands in |z| <= 2."""
+    """P(a*X), the map h_i -> h_i a^i.
+
+    With a >= max |h_i| (i < d) and a leading coefficient >= 1, every root
+    lands in |z| <= 2.
+    """
     if p.is_zero():
         raise ValueError("cannot scale the zero polynomial")
     if p.coeffs[-1] < 1:
@@ -324,7 +363,11 @@ def rouche_scale(p: IntPoly, a: int) -> IntPoly:
     bound = max((abs(c) for c in p.coeffs[:-1]), default=0)
     if a < 1 or a < bound:
         raise ValueError(f"scale {a} below required max(1, {bound})")
-    return substitute(p, IntPoly((0, a)))
+    out, power = [], 1
+    for c in p.coeffs:
+        out.append(c * power)
+        power *= a
+    return IntPoly(tuple(out))
 
 
 def scale_for_graph(p: IntPoly, t: SimilarityTriple, r: int) -> IntPoly:

@@ -5,16 +5,19 @@ library paths it checks: determinants by fraction Gaussian elimination,
 isomorphism by permutation search, colorings/matchings/covers by direct
 subset enumeration, class counts by the orbit-counting formula, tree shapes
 by decoding every Prüfer sequence, colour refinement by sorted signature
-tuples.  Two are exceptions, the library's own algorithms kept as references
-for the faster versions that replaced them: the Tutte bundle recursion over
-dicts of terms, and the canonical search that searched twin cells too.
+tuples, the sign, parity and scale transforms by general composition.  Three
+are exceptions, the library's own algorithms kept as references for the
+faster versions that replaced them: the Tutte bundle recursion over dicts of
+terms, the canonical search that searched twin cells too, and the
+density-witness search over Fractions.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from grpoly.graphs import Graph, connected_components, graph
-from grpoly.polynomials import IntPoly, MultiPoly
+from grpoly.graphs import Graph, SimilarityTriple, connected_components, graph
+from grpoly.polynomials import IntPoly, MultiPoly, substitute
+from grpoly.transforms import TransformRecord
 
 
 def det_fractions(rows: list[list[Fraction]]) -> Fraction:
@@ -395,3 +398,54 @@ def eval_at_gaussian(p: IntPoly, re: Fraction, im: Fraction
         acc_re, acc_im = (acc_re * re - acc_im * im + c,
                           acc_re * im + acc_im * re)
     return acc_re, acc_im
+
+
+def approximate_target_reference(re: Fraction, im: Fraction, eps: Fraction
+                                 ) -> tuple[int, int, int] | None:
+    """The density-witness (a, b, c) search over Fractions; None at the cap.
+
+    For increasing c, round re*c and im*c, nudge each by up to 2 and keep the
+    closest pairwise-distinct positive (a, b) with |(a+bi)/c - target| < eps.
+    """
+    eps_sq = eps * eps
+    c = 0
+    c_cap = min(int(6 / eps) + 16, 20000)
+    while c < c_cap:
+        c += 1
+        a0 = max(1, round(re * c))
+        b0 = max(1, round(im * c))
+        best = None
+        for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
+            for b in (b0, b0 - 1, b0 + 1, b0 - 2, b0 + 2):
+                if a < 1 or b < 1 or a == b or a == c or b == c:
+                    continue
+                d = (Fraction(a, c) - re) ** 2 + (Fraction(b, c) - im) ** 2
+                if d < eps_sq and (best is None or d < best[0]):
+                    best = (d, a, b)
+        if best is not None:
+            return best[1], best[2], c
+    return None
+
+
+def named_transform_reference(name: str, p: IntPoly, t: SimilarityTriple,
+                              arg: str | None = None) -> TransformRecord:
+    """The negate, square, rouche and scale records of the named registry,
+    with each output built by the general composition ``substitute``."""
+    if name == "negate":
+        return TransformRecord(name, {}, p, substitute(p, IntPoly((0, -1))),
+                               {"inverse": "negate"})
+    if name == "square":
+        return TransformRecord(name, {}, p, substitute(p, IntPoly((0, 0, 1))),
+                               {"inverse": "even-part"})
+    if name == "rouche":
+        a = int(arg) if arg is not None else \
+            max([1] + [abs(c) for c in p.coeffs[:-1]])
+        return TransformRecord(name, {"A": a}, p, substitute(p, IntPoly((0, a))),
+                               {"A": a, "inverse": "X -> X/A"})
+    if name == "scale":
+        r = int(arg) if arg is not None else 1
+        a = t.n ** r
+        return TransformRecord(name, {"r": r, "n": t.n}, p,
+                               substitute(p, IntPoly((0, a))),
+                               {"A": a, "inverse": "X -> X/n^r"})
+    raise ValueError(f"no reference for transform {name!r}")

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from grpoly import cli, roots
+from grpoly.catalog import family_polynomial
 from grpoly.cli import main
 from grpoly.graphs import (SimilarityTriple, enumerate_graphs,
                            graph_from_graph6, graph_to_graph6,
                            similarity_triple)
+from oracles import named_transform_reference
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -206,6 +208,27 @@ class TestTransformCommand:
         assert first["transform"] == "interleave"
         assert second["transform"] == "realify"
         assert second["input"] == first["output"]
+
+    def test_sign_parity_scale_chain_matches_composition(self, capsys):
+        chain = ["transform", "--family", "charA", "--chain",
+                 "negate,square,rouche"]
+        code, out, _ = run_cli(chain + ["--enum", "4"], capsys)
+        assert code == 0
+        lines = []
+        for g in enumerate_graphs(4):
+            p = family_polynomial("charA", g)
+            for name in ("negate", "square", "rouche"):
+                rec = named_transform_reference(name, p, similarity_triple(g))
+                obj = json.loads(rec.to_json())
+                obj["graph6"] = graph_to_graph6(g)
+                obj["family"] = "charA"
+                lines.append(json.dumps(obj))
+                p = rec.output
+        assert out == "".join(line + "\n" for line in lines)
+        # at n = 5, P(-X) of the monic degree-5 charA leads with -1
+        code, out, err = run_cli(chain + ["--enum", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert "leading coefficient must be >= 1" in err
 
     def test_unknown_transform(self, capsys):
         code, _, err = run_cli(

@@ -1,16 +1,18 @@
 import json
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from grpoly import transforms
 from grpoly.catalog import chromatic_poly, family_polynomial
 from grpoly.graphs import SimilarityTriple, enumerate_graphs, named_graph, \
     similarity_triple
-from grpoly.polynomials import IntPoly, evaluate, poly
+from grpoly.polynomials import IntPoly, ZERO, evaluate, poly, substitute
 from grpoly.roots import (complex_roots, integer_roots, is_real_rooted,
                           max_root_modulus, sign_profile, sturm_count)
 from grpoly.transforms import (DensityCapError, TransformRecord,
@@ -22,10 +24,16 @@ from grpoly.transforms import (DensityCapError, TransformRecord,
                                realify_rootencode, recover_coefficients,
                                remap_roots, rouche_scale, scale_for_graph,
                                square_variable)
-from oracles import eval_at_gaussian
+from oracles import (approximate_target_reference, eval_at_gaussian,
+                     named_transform_reference)
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(
     lambda cs: IntPoly(tuple(cs)))
+
+# signed coefficients past 2^64
+big_ints = st.integers(-(1 << 70), 1 << 70)
+big_polys = st.lists(big_ints, max_size=9).map(lambda cs: IntPoly(tuple(cs)))
+BIG = (1 << 64) + 1
 
 T441 = SimilarityTriple(4, 4, 1)
 T542 = SimilarityTriple(5, 4, 2)
@@ -63,6 +71,51 @@ class TestSignTransforms:
                 assert neg == 0
                 nz = sign_profile(square_variable(p))
                 assert nz[0] == 0 and nz[2] == 0
+
+
+class TestCoefficientMaps:
+    @given(big_polys)
+    @example(ZERO)
+    @example(poly(BIG, -BIG, 0, BIG))
+    def test_negate_is_composition_with_minus_x(self, p):
+        assert negate_variable(p) == substitute(p, poly(0, -1))
+
+    @given(big_polys)
+    @example(ZERO)
+    @example(poly(-BIG, 0, BIG))
+    def test_square_is_composition_with_x_squared(self, p):
+        assert square_variable(p) == substitute(p, poly(0, 0, 1))
+
+    @given(st.lists(big_ints, max_size=8), st.integers(1, 1 << 70),
+           st.one_of(st.just(0), st.integers(1, 1 << 70)))
+    @example([], 1, 0)  # a = 1
+    @example([1, -1, 0], 1, 0)  # a = 1 at the bound
+    @example([BIG, -BIG], 3, 5)
+    def test_rouche_is_composition_with_ax(self, lower, lead, extra):
+        p = IntPoly(tuple(lower) + (lead,))
+        a = max([1] + [abs(c) for c in lower]) + extra
+        assert rouche_scale(p, a) == substitute(p, poly(0, a))
+
+    def test_relocate_named_records_match_composition(self):
+        # the benchmark's named set, without densify; scale's r is the least
+        # r >= 1 with n^r above every |coefficient|
+        records = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                t = similarity_triple(g)
+                for fam in ("charA", "matchingDefect", "independence",
+                            "chromatic"):
+                    p = family_polynomial(fam, g)
+                    bound, r = max(abs(c) for c in p.coeffs), 1
+                    while n > 1 and n ** r < bound:
+                        r += 1
+                    for name, arg in (("negate", None), ("square", None),
+                                      ("rouche", None), ("scale", str(r))):
+                        got = apply_named_transform(name, p, t, arg)
+                        want = named_transform_reference(name, p, t, arg)
+                        assert got.to_json() == want.to_json(), (name, fam, n)
+                        records += 1
+        assert records == 3328
 
 
 class TestInterleave:
@@ -249,9 +302,32 @@ class TestDensityWitness:
             density_witness(Fraction(1), Fraction(-1), Fraction(1, 10))
 
     def test_eps_cap_reported(self):
-        with pytest.raises(DensityCapError):
+        with pytest.raises(DensityCapError,
+                           match="within eps = 1/10000000000000 up to "
+                                 "denominator 20000$"):
             density_witness(Fraction(10 ** 6 + 1, 3 * 10 ** 6),
                             Fraction(2, 3), Fraction(1, 10 ** 13))
+
+    @given(st.fractions(Fraction(1, 10 ** 4), 5, max_denominator=10 ** 4),
+           st.fractions(Fraction(1, 10 ** 4), 5, max_denominator=10 ** 4),
+           st.fractions(Fraction(1, 400), 3, max_denominator=10 ** 3))
+    @settings(max_examples=80, deadline=None)
+    @example(Fraction(1, 2), Fraction(3, 2), Fraction(1, 50))  # rounding ties
+    @example(Fraction(5, 2), Fraction(7, 2), Fraction(3, 2))
+    @example(Fraction(1), Fraction(1), Fraction(1, 250))
+    def test_search_matches_fraction_reference(self, re, im, eps):
+        # the search alone: far targets make witness graphs of 10^5+ edges
+        assert transforms._approximate_target(re, im, eps) == \
+            approximate_target_reference(re, im, eps)
+
+    def test_search_matches_reference_on_benchmark_targets(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            re = Fraction(rng.randint(1, 999), 1000)
+            im = Fraction(rng.randint(1, 999), 1000)
+            w = density_witness(re, im, Fraction(1, 100))
+            assert (w.a, w.b, w.c) == \
+                approximate_target_reference(re, im, Fraction(1, 100))
 
 
 class TestDiskScaling:
@@ -270,8 +346,18 @@ class TestDiskScaling:
             assert abs(z) <= 2 + 1e-6
 
     def test_scale_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^scale 2 below required max\(1, 3\)$"):
             rouche_scale(poly(2, -3, 1), 2)
+
+    @pytest.mark.parametrize("p,a,message", [
+        (ZERO, 1, "cannot scale the zero polynomial"),
+        (poly(1, -1), 1, "leading coefficient must be >= 1"),
+        (poly(1), 0, r"scale 0 below required max\(1, 0\)"),
+    ])
+    def test_rejected_inputs(self, p, a, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rouche_scale(p, a)
 
     def test_scale_for_graph(self):
         k3 = named_graph("complete", 3)
