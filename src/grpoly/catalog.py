@@ -194,7 +194,7 @@ def matching_poly(g: Graph, variant: str) -> Union[IntPoly, MultiPoly]:
         return IntPoly(tuple(coeffs))
     if variant == "bivariate":
         return MultiPoly.from_dict(
-            2, {(k, g.n - 2 * k): mk for k, mk in enumerate(counts)})
+            {(k, g.n - 2 * k): mk for k, mk in enumerate(counts)})
     raise ValueError(f"unknown matching variant {variant!r}")
 
 
@@ -325,8 +325,8 @@ def tutte_poly(g: Graph) -> MultiPoly:
         rows[u] |= 1 << b * v
         rows[v] |= 1 << b * u
     t, mask = tutte(tuple(rows)), (1 << w) - 1
-    return MultiPoly.from_dict(2, {divmod(s, nu + 1): t >> w * s & mask
-                                   for s in range((r + 1) * (nu + 1))})
+    return MultiPoly.from_dict({divmod(s, nu + 1): t >> w * s & mask
+                                for s in range((r + 1) * (nu + 1))})
 
 
 # -- subset-counting families -----------------------------------------------------

@@ -75,7 +75,7 @@ def _check_family(name: str):
 
 def _poly_json(value) -> str:
     if isinstance(value, MultiPoly):
-        return multipoly_to_json(value, ["X", "Y"][:value.arity])
+        return multipoly_to_json(value)
     return poly_to_json(value)
 
 

@@ -8,6 +8,7 @@ equality is label-sensitive and isomorphism questions go through
 from __future__ import annotations
 
 import binascii
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -176,35 +177,22 @@ def named_graph(family: str, size: int) -> Graph:
 
 
 def tree_from_prufer(code: Sequence[int]) -> Graph:
-    """Decode a Prüfer sequence over {0..n-1} (n = len(code)+2) to its tree."""
+    """Decode a Prüfer sequence over {0..n-1} (n = len(code)+2) to its tree:
+    join each symbol to the smallest remaining leaf, then the last two."""
     n = len(code) + 2
-    if n < 2:
-        raise ValueError("Prüfer decoding needs n >= 2")
     if any(not 0 <= x < n for x in code):
         raise ValueError("Prüfer symbol out of range")
     deg = [1] * n
     for x in code:
         deg[x] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]  # sorted, hence a heap
     edges = []
-    ptr = 0
-    leaf = -1
     for x in code:
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            leaf = -1
-    if leaf < 0:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    edges.append((leaf, n - 1))
+        if deg[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append(tuple(leaves))
     return graph(n, edges)
 
 

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic and a multivariate term table.
+"""Exact univariate polynomial arithmetic and a bivariate term table.
 
 ``IntPoly`` is Z[X] in the power basis, the one univariate ring: coefficients
 are arbitrary-precision integers, stored ascending by degree with no trailing
@@ -7,8 +7,9 @@ clear denominators up front and divide by the content, so no result needs
 rational coefficients.  ``convert_basis`` rewrites plain coefficient
 sequences between the power basis (monomials X^i), the falling basis
 (X(X-1)...(X-i+1)) and the binomial basis (C(X,i)); only power-basis
-coefficients become an ``IntPoly``.  ``MultiPoly`` is the term table of the
-bivariate families, evaluated at points and written as JSON.  ``RatPoly``
+coefficients become an ``IntPoly``.  ``MultiPoly`` is the term table in X
+and Y of the two bivariate families, tutte and matchingBiv, evaluated at
+points (x, y) and written as JSON over the variables X and Y.  ``RatPoly``
 and ``rat_divmod`` remain only as the shell that the benchmark's tracer
 wraps; nothing in the package calls them.
 """
@@ -304,60 +305,43 @@ def divide_out_root(coeffs: Sequence[int], r: int
         mult, quotient = mult + 1, out[::-1]
 
 
-# -- multivariate ------------------------------------------------------------
+# -- bivariate ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse exact-integer polynomial: the bivariate term table of tutte and
-    matchingBiv (the constructor accepts arity 1 to 5).
+    """Sparse exact-integer polynomial in X and Y, the term table of tutte
+    and matchingBiv: a sorted tuple of ((i, j), c) terms for c X^i Y^j, with
+    repeated exponents merged, so values hash and compare by ==."""
 
-    Terms are stored as a sorted tuple of (exponent-vector, coefficient)
-    pairs so values are hashable and comparable by ==.
-    """
-
-    arity: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    terms: tuple[tuple[tuple[int, int], int], ...]
+    arity = 2  # recorded in the equivalence witness JSON
 
     def __post_init__(self):
-        if not 1 <= self.arity <= 5:
-            raise ValueError("arity must be between 1 and 5")
         clean = {}
-        for exps, c in self.terms:
-            if len(exps) != self.arity:
-                raise ValueError("exponent vector arity mismatch")
-            if any(e < 0 for e in exps):
+        for (i, j), c in self.terms:
+            if i < 0 or j < 0:
                 raise ValueError("negative exponent")
             if c:
-                clean[tuple(exps)] = clean.get(tuple(exps), 0) + c
+                clean[i, j] = clean.get((i, j), 0) + c
         object.__setattr__(
             self, "terms",
             tuple(sorted((e, c) for e, c in clean.items() if c)))
 
     @classmethod
-    def from_dict(cls, arity: int, d: Mapping[tuple[int, ...], int]) -> "MultiPoly":
-        return cls(arity, tuple(d.items()))
+    def from_dict(cls, d: Mapping[tuple[int, int], int]) -> "MultiPoly":
+        return cls(tuple(d.items()))
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
+    def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=-1)
+        return max((i + j for (i, j), _ in self.terms), default=-1)
 
-    def evaluate(self, point: Sequence):
-        """Evaluate at a point of ints/Fractions (exact) or floats."""
-        if len(point) != self.arity:
-            raise ValueError("point arity mismatch")
-        acc = 0
-        for exps, c in self.terms:
-            t = c
-            for x, e in zip(point, exps):
-                t *= x ** e
-            acc += t
-        return acc
+    def evaluate(self, point: tuple):
+        """Evaluate at (x, y) of ints/Fractions (exact) or floats."""
+        x, y = point
+        return sum(c * x ** i * y ** j for (i, j), c in self.terms)
 
 
-def multipoly_to_json(p: MultiPoly, var_names: Sequence[str]) -> str:
-    if len(var_names) != p.arity:
-        raise ValueError("variable name count mismatch")
-    return json.dumps({"vars": list(var_names), **poly_wire(p)})
-
+def multipoly_to_json(p: MultiPoly) -> str:
+    return json.dumps({"vars": ["X", "Y"], **poly_wire(p)})

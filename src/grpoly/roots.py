@@ -242,17 +242,12 @@ def sign_profile(p: IntPoly) -> tuple[int, int, int]:
 
 def _factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
+    f = 2
     while f * f <= n and f <= _TRIAL_CAP:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1
     if n > 1:
         if n > _TRIAL_CAP * _TRIAL_CAP:
             raise RootFindingError(

@@ -390,19 +390,18 @@ def _candidate_values(count: int) -> list[Fraction]:
     return vals[:count]
 
 
-def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
-                               points: Optional[Sequence[Sequence[Fraction]]] = None
+def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph]
                                ) -> ReductionVerdict:
     """Exact sampling proof of a prefactor reduction over a graph corpus.
 
     The identity is rational in the indeterminates, so equality at
-    degree-bound + 1 distinct non-pole points per variable proves it; the
-    verifier enforces that count and reports INCONCLUSIVE when poles eat too
-    many sample points (distinct from FAIL).  A graph needs
-    ``points_required`` = (degree bound + 1) ** arity valid points, since a
-    bivariate identity is sampled on a grid; the verdict reports that count
-    and ``min_valid_points`` for the graph with the least slack on PASS, and
-    for the graph that stopped the run on FAIL or INCONCLUSIVE.
+    degree-bound + 1 distinct non-pole points per variable proves it.  A
+    graph needs ``points_required`` = (degree bound + 1) ** arity valid
+    points among the samples 1, -1, 1/2, -1/2, 2, -2, ... (four spares for a
+    univariate identity, a grid without spares for a bivariate one), and the
+    verdict is INCONCLUSIVE, not FAIL, when poles leave fewer.  It reports
+    that count and ``min_valid_points`` for the graph with the least slack
+    on PASS, and for the graph that stopped the run on FAIL or INCONCLUSIVE.
     """
     arity_p = FAMILY_ARITY[spec.family_p]
     arity_q = FAMILY_ARITY[spec.family_q]
@@ -431,9 +430,7 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph],
         required = max(max(dp, 0), fp + dq * sp) + fn + dq * sn + 1
         needed = required ** arity_p
 
-        if points is not None:
-            sample = [tuple(Fraction(x) for x in pt) for pt in points]
-        elif arity_p == 1:
+        if arity_p == 1:
             sample = [(x,) for x in _candidate_values(required + 4)]
         else:
             # a full (required x required) grid proves a bivariate identity

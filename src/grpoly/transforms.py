@@ -140,18 +140,15 @@ def recover_coefficients(q: IntPoly, s: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def realify_rootencode(p: IntPoly, s: int | None = None) -> IntPoly:
-    """prod_(i=0..s) (X - h_i): roots are the coefficients themselves.
+def realify_rootencode(p: IntPoly) -> IntPoly:
+    """prod_(i=0..d) (X - h_i) for d = max(deg(p), 0): roots are the
+    coefficients themselves, and the zero polynomial maps to X.
 
     All roots are integers, but the coefficient sequence comes back only as a
     multiset (the root order is lost), so this variant is weaker than
-    ``realify``.  ``s`` defaults to deg(p); a larger s pads with roots at 0.
+    ``realify``.
     """
-    if s is None:
-        s = max(p.degree, 0)
-    if s < p.degree:
-        raise ValueError(f"s = {s} < deg(p) = {p.degree}")
-    return from_roots((p.coeff(i), 1) for i in range(s + 1))
+    return from_roots((p.coeff(i), 1) for i in range(max(p.degree, 0) + 1))
 
 
 # -- dense prefactors ---------------------------------------------------------------
@@ -353,13 +350,11 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
 def rouche_scale(p: IntPoly, a: int) -> IntPoly:
     """P(a*X), the map h_i -> h_i a^i.
 
-    With a >= max |h_i| (i < d) and a leading coefficient >= 1, every root
-    lands in |z| <= 2.
+    With a >= max |h_i| (i < d), every root lands in |z| <= 2.  The bound
+    also needs |h_d| >= 1, which every nonzero integer polynomial has.
     """
     if p.is_zero():
         raise ValueError("cannot scale the zero polynomial")
-    if p.coeffs[-1] < 1:
-        raise ValueError("leading coefficient must be >= 1")
     bound = max((abs(c) for c in p.coeffs[:-1]), default=0)
     if a < 1 or a < bound:
         raise ValueError(f"scale {a} below required max(1, {bound})")

@@ -328,7 +328,7 @@ def tutte_bundles_reference(g: Graph) -> MultiPoly:
     the recursion that ``catalog.tutte_poly`` runs on packed integers.
     """
     bundles = tuple((e, 1) for e in sorted(g.edges))
-    return MultiPoly.from_dict(2, _tutte(bundles, {}))
+    return MultiPoly.from_dict(_tutte(bundles, {}))
 
 
 def reliability_poly(tutte: MultiPoly, nullity: int) -> IntPoly:

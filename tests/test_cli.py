@@ -176,6 +176,20 @@ class TestScripts:
         proc = self.run_script("density_demo.py", "--count", "5")
         assert proc.returncode == 0, proc.stderr
 
+    def test_root_scatter_is_scatter_per_family(self, capsys):
+        proc = self.run_script("root_scatter.py", "--families",
+                               "independence,edgeCover", "--n", "4")
+        assert proc.returncode == 0, proc.stderr
+        want = [cli.SCATTER_HEADER]
+        for family in ("independence", "edgeCover"):
+            code, out, _ = run_cli(["scatter", "--family", family,
+                                    "--enum", "4"], capsys)
+            assert code == 0
+            header, *rows = out.splitlines()
+            assert header == cli.SCATTER_HEADER
+            want.extend(rows)
+        assert proc.stdout.splitlines() == want
+
 
 class TestRoots:
     def test_report_stream(self, capsys):
@@ -212,23 +226,22 @@ class TestTransformCommand:
     def test_sign_parity_scale_chain_matches_composition(self, capsys):
         chain = ["transform", "--family", "charA", "--chain",
                  "negate,square,rouche"]
-        code, out, _ = run_cli(chain + ["--enum", "4"], capsys)
-        assert code == 0
-        lines = []
-        for g in enumerate_graphs(4):
-            p = family_polynomial("charA", g)
-            for name in ("negate", "square", "rouche"):
-                rec = named_transform_reference(name, p, similarity_triple(g))
-                obj = json.loads(rec.to_json())
-                obj["graph6"] = graph_to_graph6(g)
-                obj["family"] = "charA"
-                lines.append(json.dumps(obj))
-                p = rec.output
-        assert out == "".join(line + "\n" for line in lines)
         # at n = 5, P(-X) of the monic degree-5 charA leads with -1
-        code, out, err = run_cli(chain + ["--enum", "5"], capsys)
-        assert (code, out) == (2, "")
-        assert "leading coefficient must be >= 1" in err
+        for n in (4, 5):
+            code, out, _ = run_cli(chain + ["--enum", str(n)], capsys)
+            assert code == 0
+            lines = []
+            for g in enumerate_graphs(n):
+                p = family_polynomial("charA", g)
+                for name in ("negate", "square", "rouche"):
+                    rec = named_transform_reference(name, p,
+                                                    similarity_triple(g))
+                    obj = json.loads(rec.to_json())
+                    obj["graph6"] = graph_to_graph6(g)
+                    obj["family"] = "charA"
+                    lines.append(json.dumps(obj))
+                    p = rec.output
+            assert out == "".join(line + "\n" for line in lines)
 
     def test_unknown_transform(self, capsys):
         code, _, err = run_cli(

@@ -196,6 +196,15 @@ class TestConstructions:
         assert tree_from_prufer(code).sorted_edges() == \
             prufer_decode_reference(code, n)
 
+    def test_prufer_matches_reference_exhaustively(self):
+        codes = 0
+        for n in range(2, 8):
+            for code in itertools.product(range(n), repeat=n - 2):
+                assert tree_from_prufer(code).sorted_edges() == \
+                    prufer_decode_reference(code, n), code
+                codes += 1
+        assert codes == 18_248  # sum of n^(n-2), Cayley's formula
+
 
 class TestBuildWithParameters:
     def test_density_walkthrough_triple(self):

@@ -294,6 +294,6 @@ class TestJson:
 class TestMultiPoly:
     def test_mul_and_eval(self):
         # x^2 + x + y
-        p = MultiPoly.from_dict(2, {(2, 0): 1, (1, 0): 1, (0, 1): 1})
+        p = MultiPoly.from_dict({(2, 0): 1, (1, 0): 1, (0, 1): 1})
         assert p.evaluate((1, 1)) == 3
         assert p.evaluate((Fraction(1, 2), 2)) == Fraction(11, 4)

@@ -93,6 +93,24 @@ class TestIntegerRoots:
         p = from_roots([(1, 40), (0, 3), (7, 2)])
         assert integer_roots(p) == {1: 40, 0: 3, 7: 2}
 
+    def test_largest_prime_below_the_trial_cap(self):
+        p = from_roots([(999_983, 1), (2, 1)])
+        assert integer_roots(p) == {2: 1, 999_983: 1}
+
+    def test_prime_remainder_above_the_trial_cap(self):
+        assert integer_roots(poly(-7 * 1_000_003, 1)) == {7_000_021: 1}
+
+    def test_two_primes_above_the_trial_cap(self):
+        with pytest.raises(RootFindingError, match="^cannot factor"):
+            integer_roots(poly(-1_000_003 * 1_000_033, 0, 1))
+
+    def test_divisor_cap(self):
+        # (4 + 1)(4 + 1)(2 + 1)(2 + 1) 2^10 = 230,400 divisors
+        n = 2**4 * 3**4 * 5**2 * 7**2 * math.prod(
+            (11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+        with pytest.raises(RootFindingError, match="too many divisors"):
+            integer_roots(poly(-n, 1))
+
 
 class TestComplexRoots:
     def test_quadratic_pure_imaginary(self):

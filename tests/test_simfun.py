@@ -207,12 +207,15 @@ class TestVerifier:
         assert verdict.status == "FAIL"
         assert verdict.points_required == 7
 
-    def test_all_points_poles_is_inconclusive(self):
+    def test_poles_past_the_spare_samples_are_inconclusive(self):
+        # Q^-1 * Q is 1 away from its six poles +-1, +-1/2, +-1/3, which are
+        # among the first samples; they take more than the four spares
+        q = "((X1^2 - 1) * (4 * X1^2 - 1) * (9 * X1^2 - 1))"
         spec = ReductionSpec.from_strings(
-            "vertexCover", "independence", "X1^n", ["X1^-1"])
-        verdict = verify_prefactor_reduction(
-            spec, enumerate_graphs(2), points=[(Fraction(0),)])
+            "vertexCover", "independence", f"X1^n * {q}^-1 * {q}", ["X1^-1"])
+        verdict = verify_prefactor_reduction(spec, enumerate_graphs(2))
         assert verdict.status == "INCONCLUSIVE"
+        assert (verdict.points_required, verdict.min_valid_points) == (17, 15)
         assert verdict.counterexample is None
 
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from grpoly import transforms
-from grpoly.catalog import chromatic_poly, family_polynomial
+from grpoly.catalog import (FAMILY_ARITY, FAMILY_NAMES, chromatic_poly,
+                            family_polynomial)
 from grpoly.graphs import SimilarityTriple, enumerate_graphs, named_graph, \
     similarity_triple
 from grpoly.polynomials import IntPoly, ZERO, evaluate, poly, substitute
@@ -86,9 +87,10 @@ class TestCoefficientMaps:
     def test_square_is_composition_with_x_squared(self, p):
         assert square_variable(p) == substitute(p, poly(0, 0, 1))
 
-    @given(st.lists(big_ints, max_size=8), st.integers(1, 1 << 70),
+    @given(st.lists(big_ints, max_size=8), big_ints.filter(bool),
            st.one_of(st.just(0), st.integers(1, 1 << 70)))
     @example([], 1, 0)  # a = 1
+    @example([1, 0, 1], -1, 0)  # negative lead
     @example([1, -1, 0], 1, 0)  # a = 1 at the bound
     @example([BIG, -BIG], 3, 5)
     def test_rouche_is_composition_with_ax(self, lower, lead, extra):
@@ -198,7 +200,7 @@ class TestRealify:
 
     def test_rootencode(self):
         assert realify_rootencode(poly(3, 5)) == poly(15, -8, 1)
-        assert realify_rootencode(IntPoly(()), s=1) == poly(0, 0, 1)
+        assert realify_rootencode(IntPoly(())) == poly(0, 1)
         assert realify_rootencode(poly(1, -1)) == poly(-1, 0, 1)
 
 
@@ -352,12 +354,26 @@ class TestDiskScaling:
 
     @pytest.mark.parametrize("p,a,message", [
         (ZERO, 1, "cannot scale the zero polynomial"),
-        (poly(1, -1), 1, "leading coefficient must be >= 1"),
         (poly(1), 0, r"scale 0 below required max\(1, 0\)"),
     ])
     def test_rejected_inputs(self, p, a, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             rouche_scale(p, a)
+
+    def test_negative_leads_scale_into_the_disk(self):
+        # P(-X) of an odd-degree family polynomial leads with a negative
+        # coefficient; |h_d| >= 1 is all the disk bound needs
+        families = [f for f in FAMILY_NAMES if FAMILY_ARITY[f] == 1]
+        scaled = []
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                for fam in families:
+                    p = negate_variable(family_polynomial(fam, g))
+                    if not p.is_zero() and p.coeffs[-1] < 0:
+                        scaled.append(
+                            apply_named_transform("rouche", p).output)
+        assert len(scaled) == 697
+        assert max(max_root_modulus(q) for q in scaled) <= 2 + 1e-6
 
     def test_scale_for_graph(self):
         k3 = named_graph("complete", 3)
