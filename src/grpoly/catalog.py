@@ -141,10 +141,7 @@ def spanning_tree_count(g: Graph) -> int:
     have c_1 = 0 and no spanning tree.
     """
     p = char_poly(g, "laplacian")
-    c1 = p.coeff(1)
-    if c1 == 0:
-        return 0
-    q, r = divmod(abs(c1), g.n)
+    q, r = divmod(abs(p.coeff(1)), g.n)
     assert r == 0, "Laplacian tree-count division must be exact"
     return q
 

@@ -7,7 +7,8 @@ precision and results are printed in input order.
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
 malformed input (any ``ValueError`` or ``OSError``, such as a bad spec or an
 unreadable graph6 file) or an input too deep for Python's recursion limit
-(``RecursionError``), 3 numeric root finding failed (``RootFindingError``).
+(``RecursionError``), 3 root finding failed (``RootFindingError``: numeric
+roots not certified, or past the integer-root caps of the exact layer).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .equivalence import dp_compare
 from .graphs import (Graph, enumerate_graph6, enumerate_graphs,
                      graph_to_graph6, named_graph, read_graph6_lines,
                      similarity_triple, tree_from_prufer)
-from .polynomials import IntPoly, MultiPoly, multipoly_to_json, poly_to_json
+from .polynomials import IntPoly, MultiPoly, poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
 from .transforms import TRANSFORM_NAMES, apply_named_transform, density_witness
@@ -52,8 +53,10 @@ def _load_source(args) -> list[Graph]:
         if not arg:
             raise UsageError(f"--named needs FAMILY:ARG, got {args.named!r}")
         if family == "prufer":
-            code = [int(x) for x in arg.replace(",", "-").split("-") if x != ""]
-            return [tree_from_prufer(code)]
+            fields = arg.replace(",", "-").split("-")
+            if "" in fields:
+                raise UsageError(f"empty Prüfer symbol in {args.named!r}")
+            return [tree_from_prufer([int(x) for x in fields])]
         return [named_graph(family, int(arg))]
     if args.graph6 == "-":
         text = sys.stdin.read()
@@ -73,12 +76,6 @@ def _check_family(name: str):
             f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
 
 
-def _poly_json(value) -> str:
-    if isinstance(value, MultiPoly):
-        return multipoly_to_json(value)
-    return poly_to_json(value)
-
-
 def _univariate(family: str, g: Graph, message: str) -> IntPoly:
     p = family_polynomial(family, g)
     if isinstance(p, MultiPoly):
@@ -93,7 +90,7 @@ def cmd_poly(args) -> int:
     lines = []
     for g in _load_source(args):
         if args.format == "json":
-            lines.append(_poly_json(family_polynomial(args.family, g)))
+            lines.append(poly_to_json(family_polynomial(args.family, g)))
         else:
             p = _univariate(args.family, g,
                             f"family {args.family} is multivariate; "

@@ -73,9 +73,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
 
 def graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, frozenset(tuple(e) for e in edges))
@@ -147,8 +144,8 @@ def similarity_triple(g: Graph) -> SimilarityTriple:
 # -- constructions ------------------------------------------------------------
 
 def complement(g: Graph) -> Graph:
-    edges = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if not g.has_edge(u, v)}
+    edges = {(u, v) for u, mask in enumerate(g.masks)
+             for v in range(u + 1, g.n) if not mask >> v & 1}
     return Graph(g.n, frozenset(edges))
 
 
@@ -201,21 +198,9 @@ def build_graph_with_parameters(v: int, e: int, k: int) -> Graph:
 
     The witness is k-1 isolated vertices plus one component on v-k+1
     vertices: a spanning path filled up with the lexicographically first
-    remaining pairs.
+    remaining pairs.  Infeasible triples raise as ``SimilarityTriple`` does.
     """
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    if e < 0 or k < 1:
-        raise ValueError("e must be >= 0 and k >= 1")
-    if k > v:
-        raise ValueError(f"violates k <= v: k = {k}, v = {v}")
-    if v - e > k:
-        raise ValueError(f"violates v - e <= k: v - e = {v - e}, k = {k}")
-    cap = comb(v - k + 1, 2)
-    if e > cap:
-        raise ValueError(
-            f"violates e <= C(v-k+1, 2): e = {e}, C({v - k + 1},2) = {cap}")
-
+    SimilarityTriple(v, e, k)
     size = v - k + 1  # the one non-trivial component
     edges = [(i, i + 1) for i in range(size - 1)]
     need = e - len(edges)

@@ -9,7 +9,8 @@ sequences between the power basis (monomials X^i), the falling basis
 (X(X-1)...(X-i+1)) and the binomial basis (C(X,i)); only power-basis
 coefficients become an ``IntPoly``.  ``MultiPoly`` is the term table in X
 and Y of the two bivariate families, tutte and matchingBiv, evaluated at
-points (x, y) and written as JSON over the variables X and Y.  ``RatPoly``
+points (x, y).  Both have a ``degree`` that is -1 for zero, and
+``poly_to_json`` writes either one.  ``RatPoly``
 and ``rat_divmod`` remain only as the shell that the benchmark's tracer
 wraps; nothing in the package calls them.
 """
@@ -80,8 +81,6 @@ class IntPoly:
     def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -166,11 +165,7 @@ def from_roots(roots: Iterable[tuple[Scalar, int]]) -> IntPoly:
     for r, mult in roots:
         if mult < 0:
             raise ValueError("negative multiplicity")
-        if isinstance(r, Fraction):
-            q, p = r.denominator, r.numerator
-            factor = IntPoly((-p, q))
-        else:
-            factor = IntPoly((-r, 1))
+        factor = IntPoly((-r.numerator, r.denominator))
         for _ in range(mult):
             acc = acc * factor
     return acc
@@ -194,8 +189,6 @@ def convert_basis(coeffs: Sequence[int], source: str, target: str
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
     c: list[int | Fraction] = list(coeffs)
-    if source == target:
-        return tuple(c)
     d = len(c) - 1
     fact = list(accumulate(range(1, d + 1), mul, initial=1))  # fact[i] = i!
     if source == BINOMIAL:
@@ -233,8 +226,10 @@ def poly_wire(p: Union[IntPoly, MultiPoly]) -> dict:
                       for e, c in p.terms]}
 
 
-def poly_to_json(p: IntPoly) -> str:
-    return json.dumps(poly_wire(p))
+def poly_to_json(p: Union[IntPoly, MultiPoly]) -> str:
+    """JSON text of p; a MultiPoly also names its variables X and Y."""
+    head = {"vars": ["X", "Y"]} if isinstance(p, MultiPoly) else {}
+    return json.dumps({**head, **poly_wire(p)})
 
 
 def poly_from_json(text: str) -> IntPoly:
@@ -334,14 +329,12 @@ class MultiPoly:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
-    def total_degree(self) -> int:
+    @property
+    def degree(self) -> int:
+        """Total degree, with -1 for the zero table, as ``IntPoly.degree``."""
         return max((i + j for (i, j), _ in self.terms), default=-1)
 
     def evaluate(self, point: tuple):
         """Evaluate at (x, y) of ints/Fractions (exact) or floats."""
         x, y = point
         return sum(c * x ** i * y ** j for (i, j), c in self.terms)
-
-
-def multipoly_to_json(p: MultiPoly) -> str:
-    return json.dumps({"vars": ["X", "Y"], **poly_wire(p)})

@@ -423,15 +423,13 @@ def backward_error(p: IntPoly, z: complex) -> float:
 
 
 def complex_roots(p: IntPoly) -> list[tuple[complex, int]]:
-    """Numeric roots with exact multiplicities, degree-many in total.
+    """Degree-many numeric roots, exact multiplicities; none for a constant.
 
     Returns (root, multiplicity) pairs sorted by (real, imag).  The roots
     are certified as in ``root_report``; a failure raises instead of
     returning bad data.
     """
     _require_nonzero(p)
-    if p.degree < 1:
-        raise ValueError("complex_roots needs degree >= 1")
     val, sf, factors = _squarefree(p)
     neg, _, pos = _profile(_sturm(sf), 1 if val else 0)
     return [(z, m) for z, m, _ in _complex_roots(p, val, factors, neg + pos)]
@@ -466,21 +464,12 @@ def _complex_roots(p: IntPoly, val: int, factors: list, real: int
     return found
 
 
-def max_root_modulus(p: IntPoly) -> float:
-    _require_nonzero(p)
-    if p.degree < 1:
-        return 0.0
-    return max(abs(z) for z, _ in complex_roots(p))
-
-
 def rouche_bound(p: IntPoly) -> Fraction:
     """Exact disk radius 1 + max_(i<d) |h_i| / |h_d| containing all roots.
 
     The h_i are the power-basis coefficients of p.
     """
     _require_nonzero(p)
-    if p.degree == 0:
-        return Fraction(1)
     lead = abs(p.coeffs[-1])
     rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
     return 1 + Fraction(rest, lead)
@@ -530,8 +519,7 @@ def root_report(p: IntPoly) -> RootReport:
     _require_nonzero(p)
     val, sf, factors = _squarefree(p)
     neg, zero, pos = _profile(_sturm(sf), 1 if val else 0)
-    found = (_complex_roots(p, val, factors, neg + pos)
-             if p.degree >= 1 else [])
+    found = _complex_roots(p, val, factors, neg + pos)
     croots = tuple((z, m) for z, m, _ in found)
     residuals = tuple(r for _, _, r in found)
     maxmod = max((abs(z) for z, _ in croots), default=0.0)
@@ -552,7 +540,7 @@ def root_report(p: IntPoly) -> RootReport:
 def scatter_rows(p: IntPoly, graph6: str, family: str
                  ) -> list[tuple[str, ...]]:
     """CSV rows (re, im, modulus, graph6, family), one per root w/ multiplicity."""
-    if p.degree < 1:
+    if p.is_zero():
         return []
     return [(_fmt(z.real), _fmt(z.imag), _fmt(abs(z)), graph6, family)
             for z, mult in complex_roots(p) for _ in range(mult)]

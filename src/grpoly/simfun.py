@@ -419,11 +419,7 @@ def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph]
         t = similarity_triple(g)
         p_poly = family_polynomial(spec.family_p, g)
         q_poly = family_polynomial(spec.family_q, g)
-        dp = (p_poly.total_degree() if isinstance(p_poly, MultiPoly)
-              else p_poly.degree)
-        dq = (q_poly.total_degree() if isinstance(q_poly, MultiPoly)
-              else q_poly.degree)
-        dq = max(dq, 0)
+        dp, dq = p_poly.degree, max(q_poly.degree, 0)
         fp, fn = _degree_bounds(spec.prefactor, t)
         bounds = [_degree_bounds(s, t) for s in spec.subs]
         sp, sn = map(max, zip((0, 0), *bounds))

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .graphs import Graph, SimilarityTriple, build_graph_with_parameters
+from .graphs import (Graph, SimilarityTriple, build_graph_with_parameters,
+                     graph_to_graph6)
 from .polynomials import (IntPoly, ONE, ZERO, divide_out_root, from_roots,
                           int_text, poly_wire)
 from .roots import backward_error, is_real_rooted
@@ -236,7 +237,6 @@ class DensityWitness:
     residual: float
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph_to_graph6
         obj = {
             "a": self.a, "b": self.b, "c": self.c, "scale": self.scale,
             "triple": {"n": self.triple.n, "m": self.triple.m,
@@ -450,8 +450,7 @@ def apply_named_transform(name: str, p: IntPoly,
             p, densify(p, t, mode), {"divide-by": "prefactor"})
     if name == "rouche":
         if arg is None:
-            a = max(1, max((abs(c) for c in p.coeffs[:-1]), default=0)) \
-                if not p.is_zero() else 1
+            a = max(1, max((abs(c) for c in p.coeffs[:-1]), default=0))
         else:
             a = int(arg)
         return TransformRecord("rouche", {"A": a}, p, rouche_scale(p, a),

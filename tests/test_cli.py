@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from grpoly import cli, roots
-from grpoly.catalog import family_polynomial
+from grpoly.catalog import FAMILY_ARITY, FAMILY_NAMES, family_polynomial
 from grpoly.cli import main
 from grpoly.graphs import (SimilarityTriple, enumerate_graphs,
                            graph_from_graph6, graph_to_graph6,
@@ -175,20 +175,6 @@ class TestScripts:
     def test_density_demo(self):
         proc = self.run_script("density_demo.py", "--count", "5")
         assert proc.returncode == 0, proc.stderr
-
-    def test_root_scatter_is_scatter_per_family(self, capsys):
-        proc = self.run_script("root_scatter.py", "--families",
-                               "independence,edgeCover", "--n", "4")
-        assert proc.returncode == 0, proc.stderr
-        want = [cli.SCATTER_HEADER]
-        for family in ("independence", "edgeCover"):
-            code, out, _ = run_cli(["scatter", "--family", family,
-                                    "--enum", "4"], capsys)
-            assert code == 0
-            header, *rows = out.splitlines()
-            assert header == cli.SCATTER_HEADER
-            want.extend(rows)
-        assert proc.stdout.splitlines() == want
 
 
 class TestRoots:
@@ -404,6 +390,23 @@ class TestUsage:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
+    @pytest.mark.parametrize("arg", ["prufer:-1", "prufer:1-", "prufer:,1",
+                                     "prufer:0--1"])
+    def test_empty_prufer_symbol_rejected(self, arg, capsys):
+        code, out, err = run_cli(["poly", "--family", "charA",
+                                  "--named", arg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: empty Prüfer symbol in {arg!r}\n")
+
+    def test_prufer_separators(self, capsys):
+        def char_a(named):
+            return run_cli(["poly", "--family", "charA", "--named", named],
+                           capsys)
+
+        assert char_a("prufer:2,2,2") == char_a("star:4")  # K_{1,4}
+        assert char_a("prufer:0-1-1-3") == char_a("prufer:0,1-1,3")
+        assert char_a("prufer:0-1-1-3")[0] == 0
+
     def test_two_sources_rejected(self):
         proc = subprocess.run(
             [sys.executable, "-m", "grpoly", "poly", "--family", "charA",
@@ -454,3 +457,103 @@ class TestDeterminism:
                 blob += proc.stdout
             outputs.append(blob)
         assert outputs[0] == outputs[1]
+
+
+# -- byte identity --------------------------------------------------------------
+
+UNIVARIATE = tuple(f for f in FAMILY_NAMES if FAMILY_ARITY[f] == 1)
+CHAINS = ("negate", "square", "interleave", "interleave,deinterleave",
+          "interleave,realify", "rootencode", "densify",
+          "densify:real-positive", "rouche", "scale:2",
+          "negate,square,rouche")
+PREFACTOR_SPECS = (
+    ("vertexCover", "independence", "X1^n", "X1^-1"),
+    ("chromatic", "independence", "1", "X1"),  # FAIL
+    ("matchingDefect", "matchingGen", "X1^n", "0 - X1^-2"),
+    ("vertexCover", "independence", "X1^(0-n)", "X1^-1"),  # exponent < 0
+)
+
+
+def cli_matrix() -> dict[str, list[list[str]]]:
+    """The pinned commands by subcommand: every family on small enumerations
+    and on the edgeless graphs (a constant and, for some families, the zero
+    polynomial), transform chains, reductions, witnesses and errors."""
+    sources = (["--enum", "5"], ["--named", "edgeless:1"],
+               ["--named", "edgeless:2"])
+    poly, roots_, scatter = [], [], []
+    for fam in FAMILY_NAMES:
+        for src in sources:
+            poly.append(["poly", "--family", fam, *src])
+            poly.append(["poly", "--family", fam, "--format", "csv", *src])
+            roots_.append(["roots", "--family", fam, *src])
+            small = ["--enum", "4"] if src[0] == "--enum" else src
+            scatter.append(["scatter", "--family", fam, *small])
+    poly += [["poly", "--family", "charA", "--named", "prufer:0-1-1-3"],
+             ["poly", "--family", "charA", "--named", "prufer:2,2,2"],
+             ["poly", "--family", "nope", "--enum", "3"],
+             ["poly", "--family", "charA", "--named", "cycle:2"]]
+    roots_.append(["roots", "--family", "tutte", "--enum", "3"])
+    return {
+        "enum": [["enum", "--n", str(n)] for n in range(1, 9)]
+        + [["enum", "--n", "6", "--m", "7", "--k", "1"]],
+        "poly": poly,
+        "roots": roots_,
+        "scatter": scatter,
+        "transform": [["transform", "--family", fam, "--chain", chain,
+                       "--enum", "4"]
+                      for chain in CHAINS for fam in UNIVARIATE]
+        # the edgeless graph of --enum 4 stops densify at its first graph
+        + [["transform", "--family", fam, "--chain", chain,
+            "--named", "path:4"]
+           for chain in ("densify", "densify:real-positive")
+           for fam in UNIVARIATE],
+        "equiv": [["equiv", "--left", a, "--right", b, "--nmax", "6"]
+                  for a, b in (("charA", "charL"),
+                               ("independence", "vertexCover"),
+                               ("tutte", "chromatic"),
+                               ("matchingDefect", "matchingGen"))],
+        "prefactor": [["prefactor", "--spec", json.dumps(
+            {"family_p": p, "family_q": q, "prefactor": pre, "subs": [sub]}),
+            "--enum", "5"] for p, q, pre, sub in PREFACTOR_SPECS],
+        "density": [["density", "--target", "1/3,2/3",
+                     "--eps", "1/1000000000"],
+                    ["density", "--target", "3/2,5/4", "--eps", "1/1000"]],
+    }
+
+
+class TestByteIdentity:
+    """One sha256 per subcommand over (argv, exit code, stdout, first stderr
+    line) of each command in ``cli_matrix``.  The first stderr line is the
+    ``error:`` line; argparse's usage lines after it wrap with the terminal
+    width, so they stay out."""
+
+    DIGESTS = {
+        "enum": ("382756c763248e3262c302a055edea26"
+                 "87d9e289cb204cd77ef2808287cf60a9"),
+        "poly": ("5b645d6547000fb5d5ac5095181d2032"
+                 "a906ca92ba38f304b0381179ad9dbd32"),
+        "roots": ("4dc4fa8e991c7d4e4b47a99e53906228"
+                  "9b83a8557b658e19a7c7b44b34ac48a5"),
+        "scatter": ("225a80a8722039d600418e8f36a01948"
+                    "6138d12c37a17424cca1803f6f27fe77"),
+        "transform": ("7f6be2d32328e1b35b5da7ec0ad7c43e"
+                      "7c1695b6966a6a1e6513c5c3a3914e4d"),
+        "equiv": ("797a70bdcdcc3d22ff1d7a394f86770c"
+                  "593baed66b3d82fc0c534973bc56c6c0"),
+        "prefactor": ("b4e19f70d7ff5eb4e9fe1697171521fb"
+                      "702469dc3be6f16b102cb4963e4d7f31"),
+        "density": ("1675b33beca93c249369f3855ccca8b2"
+                    "0af7cedf3e9645b6bac48211f0de0f50"),
+    }
+
+    def test_matrix_size(self):
+        assert sum(map(len, cli_matrix().values())) == 323
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_output_digest(self, command, capsys):
+        h = hashlib.sha256()
+        for argv in cli_matrix()[command]:
+            code, out, err = run_cli(argv, capsys)
+            h.update(json.dumps([argv, code, out, err.partition("\n")[0]])
+                     .encode())
+        assert h.hexdigest() == self.DIGESTS[command]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -167,6 +168,14 @@ class TestConstructions:
         g = random_graph(rng, n)
         assert complement(complement(g)) == g
 
+    def test_complement_matches_networkx_atlas(self):
+        atlas = nx.graph_atlas_g()[1:]  # every graph with 1 <= n <= 7
+        for h in atlas:
+            g = graph(h.number_of_nodes(), h.edges())
+            want = {tuple(sorted(e)) for e in nx.complement(h).edges()}
+            assert complement(g).edges == want
+        assert len(atlas) == 1252
+
     @given(st.integers(1, 5), st.integers(1, 5),
            st.randoms(use_true_random=False))
     @settings(max_examples=40)
@@ -217,12 +226,27 @@ class TestBuildWithParameters:
         assert g.m == 0 and g.n == 3
 
     def test_edge_cap_violation_names_inequality(self):
-        with pytest.raises(ValueError, match="C\\(v-k\\+1, 2\\)"):
+        with pytest.raises(ValueError,
+                           match=r"too many edges: m = 3 > C\(n-k\+1,2\) = 1"):
             build_graph_with_parameters(2, 3, 1)
 
     def test_component_bound_violation(self):
-        with pytest.raises(ValueError, match="v - e <= k"):
+        with pytest.raises(ValueError, match="too few edges: n-m = 4 > k = 2"):
             build_graph_with_parameters(5, 1, 2)
+
+    def test_feasible_exactly_when_triple_is(self):
+        from math import comb
+        for v in range(1, 9):
+            for e in range(-1, comb(v, 2) + 2):
+                for k in range(0, v + 2):
+                    try:
+                        SimilarityTriple(v, e, k)
+                    except ValueError as exc:
+                        message = re.escape(str(exc))
+                        with pytest.raises(ValueError, match=message):
+                            build_graph_with_parameters(v, e, k)
+                    else:
+                        build_graph_with_parameters(v, e, k)
 
     def test_right_inverse_on_valid_region(self):
         from math import comb

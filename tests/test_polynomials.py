@@ -6,6 +6,8 @@ import sympy
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from grpoly.catalog import tutte_poly
+from grpoly.graphs import named_graph
 from grpoly.polynomials import (BASES, BINOMIAL, FALLING, POWER, IntPoly,
                                 MultiPoly, NonIntegralCoefficientError,
                                 convert_basis, divide_out_root, evaluate,
@@ -99,6 +101,12 @@ class TestBases:
             ff = sum(c * _falling_value(x, i)
                      for i, c in enumerate(falling))
             assert ff == evaluate(p, x)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_same_basis_is_identity(self, basis):
+        # (1, 1, 1, 1) in the binomial basis passes through Fractions
+        for c in ((), (7,), (0, 0, 1), (1, 1, 1, 1), (3, -2, 0, 5, -1)):
+            assert convert_basis(c, basis, basis) == c
 
     def test_non_integral_binomial_rejected(self):
         # C(X,2) has non-integer power coefficients
@@ -286,12 +294,23 @@ class TestJson:
         p = IntPoly((10 ** 5000, -1))
         assert poly_from_json(poly_to_json(p)) == p
 
+    def test_multipoly_wire_shape(self):
+        assert poly_to_json(tutte_poly(named_graph("complete", 3))) == (
+            '{"vars": ["X", "Y"], "terms": [{"exp": [0, 1], "coeff": "1"}, '
+            '{"exp": [1, 0], "coeff": "1"}, {"exp": [2, 0], "coeff": "1"}]}')
+
     def test_other_basis_rejected(self):
         with pytest.raises(ValueError, match="basis"):
             poly_from_json('{"basis": "falling", "coeffs": ["0", "1"]}')
 
 
 class TestMultiPoly:
+    def test_degree(self):
+        assert MultiPoly(()).degree == -1
+        assert MultiPoly.from_dict({(0, 0): 3}).degree == 0
+        assert MultiPoly.from_dict({(3, 0): 1, (1, 1): -2}).degree == 3
+        assert MultiPoly.from_dict({(1, 4): 1, (2, 0): 5}).degree == 5
+
     def test_mul_and_eval(self):
         # x^2 + x + y
         p = MultiPoly.from_dict({(2, 0): 1, (1, 0): 1, (0, 1): 1})

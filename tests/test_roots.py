@@ -15,12 +15,13 @@ import hypothesis.strategies as st
 from grpoly import roots
 from grpoly.catalog import FAMILY_ARITY, FAMILY_NAMES, char_poly, \
     chromatic_poly, family_polynomial, matching_poly, subset_counting_poly
+from grpoly.cli import main
 from grpoly.graphs import (enumerate_graphs, graph_from_graph6,
                            graph_to_graph6, named_graph)
 from grpoly.polynomials import IntPoly, from_roots, poly
 from grpoly.roots import (RootFindingError, ZeroPolynomialError,
                           backward_error, complex_roots, integer_roots,
-                          is_real_rooted, max_root_modulus, root_report,
+                          is_real_rooted, root_report,
                           rouche_bound, sign_profile, squarefree_part,
                           sturm_chain, sturm_count, yun_decomposition)
 
@@ -184,7 +185,8 @@ class TestRoucheBound:
                 p = family_polynomial(fam, g)
                 if p.degree < 1:
                     continue
-                assert max_root_modulus(p) <= float(rouche_bound(p)) + 1e-6
+                assert root_report(p).max_modulus <= \
+                    float(rouche_bound(p)) + 1e-6
 
 
 class TestRootReport:
@@ -201,6 +203,14 @@ class TestRootReport:
         assert rep.integer_roots == {0: 1}
         assert rep.rouche_radius == 1
         assert rep.max_modulus == 0.0
+
+    def test_constant(self):
+        # no Yun factor and a Sturm count of 0: the general path gives no roots
+        assert complex_roots(poly(5)) == []
+        rep = root_report(poly(5))
+        assert rep.degree == 0 and rep.complex_roots == ()
+        assert rep.integer_roots == {} and rep.real_rooted
+        assert rep.rouche_radius == 1 and rep.max_modulus == 0.0
 
     def test_chromatic_p3(self):
         rep = root_report(chromatic_poly(named_graph("path", 3)))
@@ -509,21 +519,19 @@ class TestMpmathOracle:
         assert checked > 200
 
 
-class TestRootScatterScript:
-    def test_charl_edge_cover_n6(self):
-        repo = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "root_scatter.py"),
-             "--families", "charL,edgeCover", "--n", "6"],
-            capture_output=True, text=True, cwd=repo)
-        assert proc.returncode == 0, proc.stderr
-        rows = proc.stdout.splitlines()
-        assert rows[0] == "re,im,modulus,graph6,family"
+class TestScatterCommand:
+    def test_charl_edge_cover_n6(self, capsys):
+        rows = 0
+        for fam in ("charL", "edgeCover"):
+            assert main(["scatter", "--family", fam, "--enum", "6"]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            assert header == "re,im,modulus,graph6,family"
+            rows += len(lines)
         degrees = sum(family_polynomial(fam, g).degree
                       for fam in ("charL", "edgeCover")
                       for g in enumerate_graphs(6)
                       if not family_polynomial(fam, g).is_zero())
-        assert len(rows) - 1 == degrees == 1936
+        assert rows == degrees == 1936
 
 
 class TestRootSweepScript:

@@ -15,7 +15,7 @@ from grpoly.graphs import SimilarityTriple, enumerate_graphs, named_graph, \
     similarity_triple
 from grpoly.polynomials import IntPoly, ZERO, evaluate, poly, substitute
 from grpoly.roots import (complex_roots, integer_roots, is_real_rooted,
-                          max_root_modulus, sign_profile, sturm_count)
+                          root_report, sign_profile, sturm_count)
 from grpoly.transforms import (DensityCapError, TransformRecord,
                                apply_named_transform,
                                deinterleave, dense_real_prefactor, densify,
@@ -373,7 +373,7 @@ class TestDiskScaling:
                         scaled.append(
                             apply_named_transform("rouche", p).output)
         assert len(scaled) == 697
-        assert max(max_root_modulus(q) for q in scaled) <= 2 + 1e-6
+        assert max(root_report(q).max_modulus for q in scaled) <= 2 + 1e-6
 
     def test_scale_for_graph(self):
         k3 = named_graph("complete", 3)
@@ -384,7 +384,7 @@ class TestDiskScaling:
         c4 = named_graph("cycle", 4)
         out = scale_for_graph(poly(1, 4, 2), similarity_triple(c4), 1)
         assert out == poly(1, 16, 32)
-        assert max_root_modulus(out) <= 2 + 1e-6
+        assert root_report(out).max_modulus <= 2 + 1e-6
 
     def test_coefficient_bound_violation_reported(self):
         k3 = named_graph("complete", 3)
