@@ -25,8 +25,6 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
-
 POWER = "power"
 FALLING = "falling"
 BINOMIAL = "binomial"
@@ -154,21 +152,23 @@ def reverse_coefficients(p: IntPoly, degree: int) -> IntPoly:
     return IntPoly(tuple(out))
 
 
-def from_roots(roots: Iterable[tuple[Scalar, int]]) -> IntPoly:
+def from_roots(roots: Iterable[tuple[int | Fraction, int]]) -> IntPoly:
     """Expand a root multiset into an exact integer polynomial.
 
     ``roots`` is an iterable of (root, multiplicity) pairs.  Integer roots r
     contribute (X - r); a rational root p/q contributes (qX - p), so the
-    result is monic exactly when every root is an integer.
+    result is monic exactly when every root is an integer.  The product is
+    one list of ints, one multiply-add per coefficient per factor, and one
+    ``IntPoly`` at the end.
     """
-    acc = ONE
+    acc = [1]
     for r, mult in roots:
         if mult < 0:
             raise ValueError("negative multiplicity")
-        factor = IntPoly((-r.numerator, r.denominator))
+        a, b = r.numerator, r.denominator
         for _ in range(mult):
-            acc = acc * factor
-    return acc
+            acc = [b * d - a * c for c, d in zip(acc + [0], [0] + acc)]
+    return IntPoly(tuple(acc))
 
 
 # -- coefficient bases -------------------------------------------------------

@@ -194,6 +194,25 @@ class TestFromRoots:
         p = from_roots([(2, 1), (Fraction(5, 2), 1)])
         assert p == poly(10, -9, 2)
 
+    def test_matches_sympy_expansion(self):
+        # prod (qX - p)^m for roots p/q, expanded by sympy: a wrong
+        # multiplicity or denominator scale changes the coefficients, where
+        # evaluating at the roots only sees that each root is present
+        rng = random.Random("from_roots")
+        cases = [[(0, 3)], [(-2, 4), (Fraction(1, 3), 2)],
+                 [(Fraction(-5, 4), 4), (Fraction(2, 3), 3), (0, 2), (7, 1)]]
+        for _ in range(24):
+            roots = [(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                      rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            cases.append(roots + [(0, rng.randint(0, 3))])
+        for roots in cases:
+            expr = sympy.Integer(1)
+            for r, m in roots:
+                root = sympy.Rational(str(r))
+                expr *= (root.q * _SX - root.p) ** m
+            expected = sympy.Poly(sympy.expand(expr), _SX).all_coeffs()[::-1]
+            assert list(from_roots(roots).coeffs) == expected, roots
+
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)),
                     max_size=4))
     @settings(max_examples=40)
