@@ -2,13 +2,16 @@
 
 Subcommands: poly, roots, transform, equiv, prefactor, density, enum,
 scatter.  All numeric output is printed as decimal strings with fixed
-precision and results are printed in input order.
+precision and results are printed in input order.  Lines are printed only
+after the command has returned, so a failure prints none of them; scatter
+alone prints its CSV header first, before its rows are computed.
 
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
-malformed input (any ``ValueError`` or ``OSError``, such as a bad spec or an
-unreadable graph6 file) or an input too deep for Python's recursion limit
-(``RecursionError``), 3 root finding failed (``RootFindingError``: numeric
-roots not certified, or past the integer-root caps of the exact layer).
+malformed input (any ``ValueError`` or ``OSError``, such as a bad spec, an
+unreadable graph6 file or a ``--named`` size above ``sys.maxsize``) or an
+input too deep for Python's recursion limit (``RecursionError``), 3 root
+finding failed (``RootFindingError``: numeric roots not certified, or past
+the integer-root caps of the exact layer).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .equivalence import dp_compare
 from .graphs import (Graph, enumerate_graph6, enumerate_graphs,
                      graph_to_graph6, named_graph, read_graph6_lines,
                      similarity_triple, tree_from_prufer)
-from .polynomials import IntPoly, MultiPoly, poly_to_json
+from .polynomials import MultiPoly, poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
 from .transforms import TRANSFORM_NAMES, apply_named_transform, density_witness
@@ -76,52 +79,49 @@ def _check_family(name: str):
             f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
 
 
-def _univariate(family: str, g: Graph, message: str) -> IntPoly:
-    p = family_polynomial(family, g)
-    if isinstance(p, MultiPoly):
-        raise UsageError(message)
-    return p
+def _family_values(args, multivariate: str | None = None):
+    """Check ``--family`` and read the source now (before scatter prints its
+    header); the returned iterator yields (graph, family value) pairs as it
+    is consumed.  A bivariate value raises the *multivariate* message when
+    one is given."""
+    _check_family(args.family)
+    graphs = _load_source(args)
+
+    def pairs():
+        for g in graphs:
+            p = family_polynomial(args.family, g)
+            if multivariate and isinstance(p, MultiPoly):
+                raise UsageError(multivariate)
+            yield g, p
+    return pairs()
 
 
 # -- subcommand implementations --------------------------------------------------
+# each returns (exit code, output lines) for main to print
 
-def cmd_poly(args) -> int:
-    _check_family(args.family)
+def cmd_poly(args) -> tuple[int, list[str]]:
+    if args.format == "json":
+        return 0, [poly_to_json(p) for _, p in _family_values(args)]
+    pairs = _family_values(args, f"family {args.family} is multivariate; "
+                                 "--format csv needs a univariate family")
+    return 0, [f"{graph_to_graph6(g)},{args.family},"
+               f"{';'.join(map(str, p.coeffs))}" for g, p in pairs]
+
+
+def cmd_roots(args) -> tuple[int, list[str]]:
     lines = []
-    for g in _load_source(args):
-        if args.format == "json":
-            lines.append(poly_to_json(family_polynomial(args.family, g)))
-        else:
-            p = _univariate(args.family, g,
-                            f"family {args.family} is multivariate; "
-                            "--format csv needs a univariate family")
-            lines.append(f"{graph_to_graph6(g)},{args.family},"
-                         f"{';'.join(map(str, p.coeffs))}")
-    for line in lines:
-        print(line)
-    return 0
-
-
-def cmd_roots(args) -> int:
-    _check_family(args.family)
-    lines = []
-    for g in _load_source(args):
-        p = _univariate(args.family, g,
-                        f"family {args.family} is multivariate; roots need "
-                        "a univariate family")
+    for g, p in _family_values(args, f"family {args.family} is multivariate; "
+                                     "roots need a univariate family"):
         obj = {"graph6": graph_to_graph6(g), "family": args.family}
         if p.is_zero():
             obj.update(report=None, note="zero polynomial")
         else:
             obj["report"] = json.loads(root_report(p).to_json())
         lines.append(json.dumps(obj))
-    for line in lines:
-        print(line)
-    return 0
+    return 0, lines
 
 
-def cmd_transform(args) -> int:
-    _check_family(args.family)
+def cmd_transform(args) -> tuple[int, list[str]]:
     chain = [s for s in args.chain.split(",") if s]
     for step in chain:
         name = step.partition(":")[0]
@@ -129,9 +129,8 @@ def cmd_transform(args) -> int:
             raise UsageError(f"unknown transform {name!r}; known: "
                              f"{', '.join(TRANSFORM_NAMES)}")
     lines = []
-    for g in _load_source(args):
-        p = _univariate(args.family, g,
-                        "transform chains apply to univariate families")
+    for g, p in _family_values(
+            args, "transform chains apply to univariate families"):
         t = similarity_triple(g)
         for step in chain:
             name, _, steparg = step.partition(":")
@@ -141,67 +140,49 @@ def cmd_transform(args) -> int:
             obj["family"] = args.family
             lines.append(json.dumps(obj))
             p = record.output
-    for line in lines:
-        print(line)
-    return 0
+    return 0, lines
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[int, list[str]]:
     _check_family(args.left)
     _check_family(args.right)
-    verdict = dp_compare(args.left, args.right, args.nmax)
-    print(verdict.to_json())
-    return 0
+    return 0, [dp_compare(args.left, args.right, args.nmax).to_json()]
 
 
-def cmd_prefactor(args) -> int:
+def cmd_prefactor(args) -> tuple[int, list[str]]:
     if args.spec_json is not None:
         with open(args.spec_json, "r", encoding="utf-8") as fh:
             spec = ReductionSpec.from_json(fh.read())
     else:
         spec = ReductionSpec.from_json(args.spec)
-    corpus = _load_source(args)
-    verdict = verify_prefactor_reduction(spec, corpus)
-    print(verdict.to_json())
-    return 0 if verdict.status == "PASS" else 1
+    verdict = verify_prefactor_reduction(spec, _load_source(args))
+    return (0 if verdict.status == "PASS" else 1), [verdict.to_json()]
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple[int, list[str]]:
     try:
         re_s, im_s = args.target.split(",")
         re, im, eps = Fraction(re_s), Fraction(im_s), Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         raise UsageError("--target needs RE,IM and --eps a value, "
                          "each an exact rational") from None
-    witness = density_witness(re, im, eps)
-    print(json.dumps(witness.to_json_dict()))
-    return 0
+    return 0, [json.dumps(density_witness(re, im, eps).to_json_dict())]
 
 
-def cmd_enum(args) -> int:
+def cmd_enum(args) -> tuple[int, list[str]]:
     if args.m is None and args.k is None:
-        lines = enumerate_graph6(args.n)
-    elif args.m is None or args.k is None:
+        return 0, enumerate_graph6(args.n)
+    if args.m is None or args.k is None:
         raise UsageError("--m and --k must be given together")
-    else:
-        mk = (args.m, args.k)
-        lines = map(graph_to_graph6, enumerate_graphs(args.n, mk))
-    for line in lines:
-        print(line)
-    return 0
+    return 0, [graph_to_graph6(g)
+               for g in enumerate_graphs(args.n, (args.m, args.k))]
 
 
-def cmd_scatter(args) -> int:
-    _check_family(args.family)
-    graphs = _load_source(args)
-    print(SCATTER_HEADER)
-    rows = []
-    for g in graphs:
-        p = _univariate(args.family, g, "scatter needs a univariate family")
-        rows.extend(scatter_rows(p, graph_to_graph6(g), args.family))
-    for row in rows:
-        print(",".join(row))
-    return 0
+def cmd_scatter(args) -> tuple[int, list[str]]:
+    pairs = _family_values(args, "scatter needs a univariate family")
+    print(SCATTER_HEADER)  # before the rows are computed
+    return 0, [",".join(row) for g, p in pairs
+               for row in scatter_rows(p, graph_to_graph6(g), args.family)]
 
 
 # -- parser ------------------------------------------------------------------------
@@ -213,24 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "roots, scan distinctive power")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_poly = subs.add_parser("poly", help="compute a family over a source")
-    p_poly.add_argument("--family", required=True)
-    p_poly.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="csv needs a univariate family")
-    _add_source_args(p_poly)
-    p_poly.set_defaults(func=cmd_poly)
+    def family_command(name, func, help, **options):
+        sub = subs.add_parser(name, help=help)
+        sub.add_argument("--family", required=True)
+        for option, kwargs in options.items():
+            sub.add_argument(f"--{option}", **kwargs)
+        _add_source_args(sub)
+        sub.set_defaults(func=func)
 
-    p_roots = subs.add_parser("roots", help="root reports for a family")
-    p_roots.add_argument("--family", required=True)
-    _add_source_args(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
-
-    p_tr = subs.add_parser("transform", help="apply a transform chain")
-    p_tr.add_argument("--family", required=True)
-    p_tr.add_argument("--chain", required=True,
-                      help="comma list, e.g. interleave,realify or scale:2")
-    _add_source_args(p_tr)
-    p_tr.set_defaults(func=cmd_transform)
+    family_command("poly", cmd_poly, "compute a family over a source",
+                   format=dict(choices=("json", "csv"), default="json",
+                               help="csv needs a univariate family"))
+    family_command("roots", cmd_roots, "root reports for a family")
+    family_command("transform", cmd_transform, "apply a transform chain",
+                   chain=dict(required=True, help="comma list, e.g. "
+                              "interleave,realify or scale:2"))
 
     p_eq = subs.add_parser("equiv", help="distinctive-power comparison")
     p_eq.add_argument("--left", required=True)
@@ -256,11 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--k", type=int)
     p_en.set_defaults(func=cmd_enum)
 
-    p_sc = subs.add_parser("scatter", help="CSV root cloud for plotting")
-    p_sc.add_argument("--family", required=True)
-    _add_source_args(p_sc)
-    p_sc.set_defaults(func=cmd_scatter)
-
+    family_command("scatter", cmd_scatter, "CSV root cloud for plotting")
     return parser
 
 
@@ -271,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -282,6 +256,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RootFindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

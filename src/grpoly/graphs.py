@@ -10,6 +10,7 @@ from __future__ import annotations
 import binascii
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -158,6 +159,8 @@ def named_graph(family: str, size: int) -> Graph:
     """Standard families: complete, cycle, path, star (K_{1,size}), edgeless."""
     if size < 1:
         raise ValueError("size must be >= 1")
+    if size > sys.maxsize:
+        raise ValueError(f"size must be <= {sys.maxsize}")
     if family == "complete":
         return graph(size, itertools.combinations(range(size), 2))
     if family == "cycle":

@@ -211,14 +211,17 @@ def _profile(chain: list[list[int]], zero: int) -> tuple[int, int, int]:
 def sturm_count(p: IntPoly, interval: tuple) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
-    Endpoints are exact rationals/ints or +-math.inf.
+    Endpoints are exact rationals/ints or +-math.inf; a == b counts 0 and
+    a > b raises ValueError.
     """
     _require_nonzero(p)
     a, b = interval
+    if a > b:
+        raise ValueError("empty interval")
+    if a == b:
+        return 0
     a = a if a == -inf else Fraction(a)
     b = b if b == inf else Fraction(b)
-    if a != -inf and b != inf and a > b:
-        raise ValueError("empty interval")
     chain = _sturm(_squarefree(p)[1])
     return _variations(chain, a) - _variations(chain, b)
 

@@ -356,6 +356,28 @@ class TestFailurePrintsNoPartialOutput:
         assert out == ""
         assert err == "error: injected failure\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_poly_failure_prints_nothing(self, fmt, capsys, monkeypatch):
+        computed = fail_after_first_result(monkeypatch, "family_polynomial")
+        code, out, err = run_cli(
+            ["poly", "--family", "charA", "--format", fmt, "--enum", "4"],
+            capsys)
+        assert computed
+        assert code == 3
+        assert out == ""
+        assert err == "error: injected failure\n"
+
+    def test_transform_failure_prints_nothing(self, capsys, monkeypatch):
+        computed = fail_after_first_result(monkeypatch,
+                                           "apply_named_transform")
+        code, out, err = run_cli(
+            ["transform", "--family", "charA", "--chain", "negate",
+             "--enum", "4"], capsys)
+        assert computed
+        assert code == 3
+        assert out == ""
+        assert err == "error: injected failure\n"
+
     def test_scatter_failure_prints_header_only(self, capsys, monkeypatch):
         computed = fail_after_first_result(monkeypatch, "scatter_rows")
         code, out, _ = run_cli(
@@ -429,9 +451,14 @@ class TestMalformedInput:
              "prefactor": NESTED, "subs": ["X1^-1"]}), "--enum", "3"],
         ["density", "--target", "1/0,1", "--eps", "1/10"],
         ["density", "--target", "1/3,2/3", "--eps", "1/0"],
+        # sizes past sys.maxsize; cycle, path and star build edge lists first
+        ["poly", "--family", "charA", "--named",
+         "complete:99999999999999999999"],
+        ["poly", "--family", "charA", "--named",
+         "edgeless:99999999999999999999"],
     ], ids=["empty-spec", "unknown-family", "spec-not-object",
             "deep-prefactor", "target-zero-denominator",
-            "eps-zero-denominator"])
+            "eps-zero-denominator", "huge-complete", "huge-edgeless"])
     def test_exits_two_with_one_error_line(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -52,6 +52,15 @@ class TestSturm:
         with pytest.raises(ZeroPolynomialError):
             sturm_count(IntPoly(()), (-inf, inf))
 
+    @pytest.mark.parametrize("interval", [(1, -inf), (inf, 3), (4, 0)])
+    def test_reversed_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="empty interval"):
+            sturm_count(poly(-1, 1), interval)
+
+    @pytest.mark.parametrize("interval", [(inf, inf), (-inf, -inf), (3, 3)])
+    def test_degenerate_interval_counts_zero(self, interval):
+        assert sturm_count(poly(-3, 1), interval) == 0
+
 
 class TestRealRooted:
     def test_defect_matching_c4(self):
