@@ -9,15 +9,23 @@ and the subset-counting families (independence, clique, vertex cover,
 domination, edge cover) from tables over the 2^n vertex subsets, each entry
 filled from the entry with the lowest vertex removed.  Family names double as
 the stable CLI/JSON identifiers.
+
+Two kernels are read by several families: the matching counts (the three
+matching forms) and the independent-set table (chromatic, independence,
+vertex cover).  Each is computed on its first use and kept on the ``Graph``,
+beside its ``masks``, so it lives exactly as long as the graph and takes no
+part in its equality, hash or repr; there is no other cache of them.  Both
+are immutable (a tuple and a bytes).  Family values themselves are computed
+afresh on every call.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import comb
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .graphs import Graph, complement, component_count
 from .polynomials import FALLING, POWER, IntPoly, MultiPoly, convert_basis
@@ -33,6 +41,17 @@ FAMILY_NAMES = ("charA", "charL", "charCycle", "matchingDefect",
 
 FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
                 for name in FAMILY_NAMES}
+
+T = TypeVar("T")
+
+
+def _kept(g: Graph, key: str, build: Callable[[Graph], T]) -> T:
+    """build(g), computed on the first call and then kept on g under key,
+    the way ``Graph.masks`` is kept; build must return an immutable value."""
+    kept = g.__dict__
+    if key not in kept:
+        kept[key] = build(g)
+    return kept[key]
 
 
 # -- graph matrices -----------------------------------------------------------
@@ -151,9 +170,16 @@ def spanning_tree_count(g: Graph) -> int:
 def matching_counts(g: Graph) -> tuple[int, ...]:
     """(m_0, m_1, ...): number of k-edge matchings, via m(G)=m(G-e)+m(G-{u,v}).
 
-    e is the first remaining edge.  Memoized on the mask of remaining edges,
-    with a stack for recursion, so a path takes linearly many steps.
+    Computed once per graph and kept on it, so the defect, generating and
+    bivariate forms of one graph share one count.
     """
+    return _kept(g, "matching_counts", _matching_counts)
+
+
+def _matching_counts(g: Graph) -> tuple[int, ...]:
+    """The counts of ``matching_counts``.  e is the first remaining edge;
+    memoized on the mask of remaining edges, with a stack for recursion, so a
+    path takes linearly many steps."""
     edges = g.sorted_edges()
     incident = [0] * g.n
     for i, (u, v) in enumerate(edges):
@@ -205,23 +231,27 @@ def chromatic_poly(g: Graph) -> IntPoly:
     2009).  parts[s] counts the partitions of the vertex set s: the block that
     holds the lowest vertex v of s is v plus an independent set t of v's
     non-neighbours in s, and the rest of s is partitioned on its own.  The
-    counts of one set are packed into one int, a_j in bits 32j..32j+31; each is
-    at most Bell(10) < 2^17, so no slot carries into the next.
+    sets read for s lie inside s less its lowest vertex, so from V (lowest
+    vertex 0) and from the sets without vertex 0 only sets without vertex 0
+    are read: parts is filled for those 2^(n-1) sets and then for V alone,
+    each at index (s + 1) >> 1.  The counts of one set are packed into one
+    int, a_j in bits 32j..32j+31; each is at most Bell(10) < 2^17, so no slot
+    carries into the next.  The independent-set table is the one kept on g.
     """
     if g.n > CHROMATIC_MAX_N:
         raise ValueError(f"chromatic_poly supports n <= {CHROMATIC_MAX_N}")
-    indep = _independent_sets(g.masks)
-    parts = [1] * len(indep)  # parts[0] = 1, the empty partition
-    for s in range(1, len(indep)):
+    indep, full = _independent_sets(g), (1 << g.n) - 1
+    parts = [1] * ((1 << g.n - 1) + 1)  # parts[0]: the empty partition
+    for s in chain(range(2, full, 2), (full,)):
         low = s & -s
         rest = s ^ low
         free = rest & ~g.masks[low.bit_length() - 1]
-        total, t = parts[rest], free  # t = 0 is always independent
+        total, t = parts[rest >> 1], free  # t = 0 is always independent
         while t:
             if indep[t]:
-                total += parts[rest ^ t]
+                total += parts[(rest ^ t) >> 1]
             t = (t - 1) & free
-        parts[s] = total << 32
+        parts[(s + 1) >> 1] = total << 32
     counts = [parts[-1] >> 32 * j & 0xFFFFFFFF for j in range(g.n + 1)]
     return IntPoly(convert_basis(counts, FALLING, POWER))
 
@@ -348,11 +378,11 @@ def subset_counting_poly(g: Graph, family: str) -> IntPoly:
     if family == "edgeCover":
         return _edge_cover_poly(g)
     if family == "independence":
-        return IntPoly(_size_counts(g.n, _independent_sets(g.masks)))
+        return IntPoly(_size_counts(g.n, _independent_sets(g)))
     if family == "clique":
-        return IntPoly(_size_counts(g.n, _independent_sets(complement(g).masks)))
+        return IntPoly(_size_counts(g.n, _independence_table(complement(g))))
     if family == "vertexCover":
-        return IntPoly(_size_counts(g.n, _independent_sets(g.masks))[::-1])
+        return IntPoly(_size_counts(g.n, _independent_sets(g))[::-1])
     # domination: closed[s] is the closed neighbourhood N[s]
     full = (1 << g.n) - 1
     closed = array("I", [0]) * (1 << g.n)
@@ -362,14 +392,20 @@ def subset_counting_poly(g: Graph, family: str) -> IntPoly:
     return IntPoly(_size_counts(g.n, map(full.__eq__, closed)))
 
 
-def _independent_sets(masks: Sequence[int]) -> bytearray:
+def _independent_sets(g: Graph) -> bytes:
+    """g's independent-set table, computed once per graph and kept on it."""
+    return _kept(g, "independent_sets", _independence_table)
+
+
+def _independence_table(g: Graph) -> bytes:
     """indep[s] is 1 iff the vertex set s is independent."""
-    indep = bytearray(1 << len(masks))
+    masks = g.masks
+    indep = bytearray(1 << g.n)
     indep[0] = 1
     for s in range(1, len(indep)):
         low = s & -s
         indep[s] = indep[s ^ low] and not masks[low.bit_length() - 1] & s
-    return indep
+    return bytes(indep)
 
 
 def _size_counts(n: int, table: Iterable) -> tuple[int, ...]:

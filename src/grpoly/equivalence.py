@@ -6,12 +6,20 @@ Family P transfers through family Q when Q-equality forces P-equality on
 every class, i.e. Q's partition is at least as fine as P's everywhere.
 Verdicts carry minimal witness pairs in enumeration order so scans are
 reproducible byte for byte.
+
+The corpus is built once per process: the classes of each vertex count are
+grouped on first use and kept, and every scan over every ``nmax`` reads the
+same ``Graph`` objects, at most the 1,252 graphs with n <= ``MAX_SCAN_N``.
+The catalog's kernels (matching counts, independent-set table) are kept on
+those graphs, so one scan leaves them for the next.  Family values are
+computed afresh in every scan.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 from .catalog import family_polynomial
@@ -30,18 +38,29 @@ class SimilarityClass:
     members: tuple[Graph, ...]
 
 
-def similarity_classes(nmax: int) -> list[SimilarityClass]:
-    """All similarity classes over the isomorph-free corpus with n <= nmax."""
+def similarity_classes(nmax: int) -> tuple[SimilarityClass, ...]:
+    """All similarity classes over the isomorph-free corpus with n <= nmax,
+    by (n, m, k).
+
+    The classes are those of ``_classes_of_order``, built once per process
+    and vertex count and shared by every call, so a graph is one object in
+    every scan, and so are the kernels the catalog keeps on it.
+    """
     if not 1 <= nmax <= MAX_SCAN_N:
         raise ValueError(f"similarity scan supports 1 <= nmax <= {MAX_SCAN_N}")
+    return tuple(cls for n in range(1, nmax + 1)
+                 for cls in _classes_of_order(n))
+
+
+@cache
+def _classes_of_order(n: int) -> tuple[SimilarityClass, ...]:
+    """The similarity classes on n vertices, by (m, k), members in
+    enumeration order; kept for the life of the process."""
     buckets: dict[SimilarityTriple, list[Graph]] = {}
-    for n in range(1, nmax + 1):
-        for g in enumerate_graphs(n):
-            buckets.setdefault(similarity_triple(g), []).append(g)
-    classes = [SimilarityClass(t, tuple(members))
-               for t, members in buckets.items()]
-    classes.sort(key=lambda c: (c.triple.n, c.triple.m, c.triple.k))
-    return classes
+    for g in enumerate_graphs(n):
+        buckets.setdefault(similarity_triple(g), []).append(g)
+    return tuple(SimilarityClass(t, tuple(buckets[t]))
+                 for t in sorted(buckets, key=lambda t: (t.m, t.k)))
 
 
 def _resolve(family: Family) -> tuple[str, Callable]:

@@ -233,6 +233,7 @@ def _g6_size_bytes(n: int) -> bytes:
 _G6 = bytes(range(63, 127))
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6, _FROM_G6 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
+_G6_HEADER = ">>graph6<<"
 
 
 def graph_to_graph6(g: Graph) -> str:
@@ -249,7 +250,10 @@ def _graph6_of_key(n: int, key: int) -> str:
 
 
 def graph_from_graph6(text: str) -> Graph:
-    stripped = text.strip()
+    """The graph of one graph6 line.  The line may begin with the optional
+    ``>>graph6<<`` header of McKay's formats.txt, as networkx writes it;
+    the byte offsets of errors count from the end of the header."""
+    stripped = text.strip().removeprefix(_G6_HEADER)
     if not stripped:
         raise Graph6Error("empty graph6 line", 0)
     for off, ch in enumerate(stripped):

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from grpoly import catalog, graphs, polynomials
+from grpoly import catalog, equivalence, graphs, polynomials
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("catalog", "cli", "equivalence", "graphs", "polynomials", "roots",
@@ -52,6 +52,25 @@ def test_tracer_wraps_every_name_and_restores_them():
     assert polynomials.IntPoly.__mul__ is mul
     assert polynomials.IntPoly.__rmul__ is rmul
     assert catalog._FAMILY_FUNCS == families
+
+
+def test_tracer_sees_families_whose_kernels_are_kept():
+    """The catalog keeps the independent-set table on each graph; the
+    family functions the tracer wraps are still called once per graph."""
+    spans = _load_spans()
+    equivalence.dp_compare("chromatic", "independence", 4)  # keeps the tables
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        verdict = equivalence.dp_compare("chromatic", "independence", 4)
+    finally:
+        tracer.uninstall()
+    # incomparable ends the scan: 16 of the 18 graphs with n <= 4 are read
+    assert verdict.relation == "incomparable"
+    calls = tracer.self_times()[2]
+    assert calls["catalog.chromatic_poly"] == calls[
+        "catalog.subset_counting_poly"] == 16
+    assert calls["equivalence.dp_compare"] == 1
 
 
 def test_worker_names_resolve():

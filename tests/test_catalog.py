@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from grpoly.catalog import (_char_poly_of_matrix, adjacency_matrix, char_poly,
-                            chromatic_poly,
+from grpoly import catalog
+from grpoly.catalog import (FAMILY_NAMES, _char_poly_of_matrix,
+                            adjacency_matrix, char_poly, chromatic_poly,
                             cycle_matrix, family_polynomial, laplacian_matrix,
                             matching_counts, matching_poly,
                             spanning_tree_count, subset_counting_poly,
@@ -208,10 +209,10 @@ class TestChromatic:
         assert chromatic_poly(graph(1)) == poly(0, 1)
 
     def test_coloring_counts_small(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for g in enumerate_graphs(n):
                 p = chromatic_poly(g)
-                for t in range(5):
+                for t in range(5 if n < 6 else 4):
                     assert evaluate(p, t) == proper_coloring_count(g, t)
 
     def test_sign_alternation_and_monic(self):
@@ -222,6 +223,28 @@ class TestChromatic:
                 for i, c in enumerate(p.coeffs):
                     if c:
                         assert (c > 0) == ((g.n - i) % 2 == 0)
+
+    def test_invariant_under_relabeling(self):
+        # the DP fills only the sets without vertex 0, then V, so which
+        # vertex is 0 must not matter: three seeded permutations of every
+        # graph with n <= 7, and vertex 0 moved to an isolated and to a
+        # universal vertex wherever the graph has one
+        rng = random.Random(20091)
+        moved = {"isolated": 0, "universal": 0}  # graphs, by new vertex 0
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                p = chromatic_poly(g)
+                perms = [rng.sample(range(n), n) for _ in range(3)]
+                for kind, d in (("isolated", 0), ("universal", n - 1)):
+                    v = next((v for v in range(n) if g.degree(v) == d), None)
+                    if v is not None:  # a rotation that sends v to 0
+                        moved[kind] += 1
+                        perms.append([(u - v) % n for u in range(n)])
+                for perm in perms:
+                    h = graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+                    assert chromatic_poly(h) == p, (g, perm)
+        # K1, and one graph per graph on n - 1 <= 6 vertices (add the vertex)
+        assert moved == {"isolated": 209, "universal": 209}
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -438,3 +461,50 @@ class TestFamilyRegistry:
     def test_dispatch_matches_direct(self):
         assert family_polynomial("chromatic", K3) == chromatic_poly(K3)
         assert family_polynomial("matchingGen", C4) == poly(1, 4, 2)
+
+
+class TestKeptKernels:
+    """The matching counts and the independent-set table are computed once
+    per graph and kept on it; family values are not."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        build = getattr(catalog, name)
+
+        def counted(g):
+            calls.append(g)
+            return build(g)
+
+        monkeypatch.setattr(catalog, name, counted)
+        return calls
+
+    def test_independent_set_table_built_once(self, monkeypatch):
+        calls = self._counting(monkeypatch, "_independence_table")
+        g = named_graph("cycle", 5)
+        values = [family_polynomial(fam, g) for fam in
+                  ("chromatic", "independence", "vertexCover", "chromatic")]
+        assert calls == [g]
+        # (X - 1)^5 - (X - 1); 1 + 5X + 5X^2 and its reversal
+        assert values[0] == values[3] == poly(0, 4, -10, 10, -5, 1)
+        assert values[1:3] == [poly(1, 5, 5), poly(0, 0, 0, 5, 5, 1)]
+
+    def test_matching_counts_built_once(self, monkeypatch):
+        calls = self._counting(monkeypatch, "_matching_counts")
+        g = named_graph("path", 5)
+        for variant in ("defect", "generating", "bivariate", "defect"):
+            matching_poly(g, variant)
+        assert calls == [g]
+
+    def test_kept_kernels_leave_the_value_alone(self):
+        g, fresh = named_graph("cycle", 5), named_graph("cycle", 5)
+        before = hash(g), repr(g)
+        for fam in FAMILY_NAMES:
+            family_polynomial(fam, g)
+        kept = {k: v for k, v in vars(g).items()
+                if k not in ("n", "edges", "masks")}
+        assert set(kept) == {"matching_counts", "independent_sets"}
+        assert type(kept["matching_counts"]) is tuple
+        assert type(kept["independent_sets"]) is bytes
+        assert g == fresh and fresh == g
+        assert (hash(g), repr(g)) == (hash(fresh), repr(fresh)) == before

@@ -11,6 +11,7 @@ import pytest
 from grpoly import cli, roots
 from grpoly.catalog import FAMILY_ARITY, FAMILY_NAMES, family_polynomial
 from grpoly.cli import main
+from grpoly.equivalence import find_collisions
 from grpoly.graphs import (SimilarityTriple, enumerate_graphs,
                            graph_from_graph6, graph_to_graph6,
                            similarity_triple)
@@ -399,6 +400,33 @@ class TestStdinSource:
         assert json.loads(lines[0])["coeffs"] == ["1", "4", "2"]
 
 
+class TestGraph6File:
+    def test_networkx_file(self, capsys, tmp_path):
+        nx = pytest.importorskip("networkx")
+        atlas = [nx.graph_atlas(i) for i in (7, 18, 52, 208, 700)]
+        written, plain = tmp_path / "nx.g6", tmp_path / "plain.g6"
+        with open(written, "wb") as fh:
+            for h in atlas:
+                nx.write_graph6(h, fh)  # each line begins with >>graph6<<
+        plain.write_text(written.read_text(encoding="ascii")
+                         .replace(">>graph6<<", ""), encoding="ascii")
+        code, out, err = run_cli(["poly", "--family", "charA", "--graph6",
+                                  str(written)], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == len(atlas)
+        assert (code, out, err) == run_cli(
+            ["poly", "--family", "charA", "--graph6", str(plain)], capsys)
+
+    @pytest.mark.parametrize("line", [">>sparse6<<:An", ":An"])
+    def test_sparse6_file_exits_two(self, line, capsys, tmp_path):
+        path = tmp_path / "in.s6"
+        path.write_text(line + "\n", encoding="ascii")
+        code, out, err = run_cli(["poly", "--family", "charA", "--graph6",
+                                  str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-printable graph6 byte")
+
+
 class TestUsage:
     def test_missing_subcommand(self):
         proc = subprocess.run([sys.executable, "-m", "grpoly"],
@@ -584,3 +612,38 @@ class TestByteIdentity:
             h.update(json.dumps([argv, code, out, err.partition("\n")[0]])
                      .encode())
         assert h.hexdigest() == self.DIGESTS[command]
+
+
+class TestScanByteIdentity:
+    """The benchmark's census scans over n <= 7, one sha256 each, taken
+    before the corpus and the catalog's kernels were shared between scans:
+    (argv, exit code, stdout) of each ``equiv`` command, and the
+    (class, graph6 block) rows of ``find_collisions("charA", 7)``."""
+
+    EQUIV = {
+        ("charA", "charL"): ("a643a0517289c4f1307e53277fbf32ad"
+                             "dc2cdad65d89fbfd4b810b8951bd85c9"),
+        ("independence", "vertexCover"): ("f49854bda64e91398342a90b7dcd796f"
+                                          "2743fdfef272c612d6ee959d7fe22dff"),
+        ("matchingDefect", "matchingGen"): ("038640457f7e913e6486ae9ae7bf6d8b"
+                                            "a2192647e28db6149e29001863c7c279"),
+        ("chromatic", "tutte"): ("95d43ab44d3aa28d8cad425718d8377d"
+                                 "e1f4c6c8c112fd89d5cb9b632832d4c4"),
+    }
+    COLLISIONS = ("5bcd6a041648646e7e524624bd7b0b0b"
+                  "a48b1b79a47fd688649043b2af2a179b")
+
+    @pytest.mark.parametrize("left, right", list(EQUIV))
+    def test_equiv_nmax_seven(self, left, right, capsys):
+        argv = ["equiv", "--left", left, "--right", right, "--nmax", "7"]
+        code, out, _ = run_cli(argv, capsys)
+        digest = hashlib.sha256(json.dumps([argv, code, out]).encode())
+        assert digest.hexdigest() == self.EQUIV[left, right]
+
+    def test_char_a_collisions_nmax_seven(self):
+        rows = [[[cls.triple.n, cls.triple.m, cls.triple.k],
+                 [graph_to_graph6(g) for g in block]]
+                for cls, block in find_collisions("charA", 7)]
+        assert len(rows) == 39
+        digest = hashlib.sha256(json.dumps(rows).encode())
+        assert digest.hexdigest() == self.COLLISIONS

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from grpoly import catalog
 from grpoly.catalog import FAMILY_NAMES, family_polynomial
 from grpoly.equivalence import (EquivalenceVerdict, WitnessPair, dp_compare,
                                 dp_transfer, find_collisions,
@@ -188,6 +189,40 @@ class TestDpCompareEvaluations:
             assert verdict.relation == relation, (left, right)
             assert [w.to_json_dict() for w in verdict.witnesses] == \
                 witnesses, (left, right)
+
+
+class TestSharedCorpus:
+    """One corpus per process, and the catalog's kernels kept on it."""
+
+    def test_second_call_returns_the_same_objects(self):
+        first, second = similarity_classes(6), similarity_classes(6)
+        assert type(first) is tuple
+        assert all(type(cls.members) is tuple for cls in first)
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+        # every nmax reads the same graphs
+        wider = similarity_classes(7)
+        assert all(a is b for a, b in zip(first, wider))
+        assert {c.triple.n for c in wider[len(first):]} == {7}
+
+    def test_matching_counts_run_once_per_graph(self, monkeypatch):
+        members = [g for cls in similarity_classes(6) for g in cls.members]
+        for g in members:  # start from graphs that carry no counts
+            vars(g).pop("matching_counts", None)
+        calls = Counter()
+        build = catalog._matching_counts
+
+        def counted(g):
+            calls[g] += 1
+            return build(g)
+
+        monkeypatch.setattr(catalog, "_matching_counts", counted)
+        assert dp_compare("matchingDefect", "matchingGen", 6).relation == \
+            "equivalent"  # every class is scanned
+        assert calls == Counter(members)
+        assert dp_compare("matchingGen", "matchingBiv", 6).relation == \
+            "equivalent"
+        assert calls == Counter(members)  # the second scan reads them
 
 
 class TestTransformConsistency:

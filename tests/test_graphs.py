@@ -125,6 +125,35 @@ class TestGraph6:
         assert line.startswith("~")
         assert graph_from_graph6(line) == g
 
+    def test_optional_header(self):
+        assert graph_from_graph6(">>graph6<<A_") == named_graph("complete", 2)
+        g = graph(70, [(0, 69)])
+        assert graph_from_graph6(">>graph6<<" + graph_to_graph6(g)) == g
+        # offsets count from the end of the header
+        with pytest.raises(Graph6Error) as exc:
+            graph_from_graph6(">>graph6<<C\x1f")
+        assert exc.value.offset == 1
+        with pytest.raises(Graph6Error, match="empty graph6 line"):
+            graph_from_graph6(">>graph6<<")
+
+    def test_networkx_round_trip(self, tmp_path):
+        path = tmp_path / "atlas.g6"
+        # K1 to K7 (the last atlas graph of each n) and one more with n = 7
+        atlas = [nx.graph_atlas(i) for i in (1, 3, 7, 18, 52, 208, 700, 1252)]
+        with open(path, "wb") as fh:
+            for h in atlas:
+                nx.write_graph6(h, fh)  # each line begins with >>graph6<<
+        text = path.read_text(encoding="ascii")
+        assert text.count(">>graph6<<") == len(atlas)
+        assert graphs.read_graph6_lines(text) == \
+            [graph(h.number_of_nodes(), h.edges()) for h in atlas]
+
+    @pytest.mark.parametrize("line", [">>sparse6<<:An", ":An",
+                                      ">>graph6<<:An"])
+    def test_sparse6_rejected(self, line):
+        with pytest.raises(Graph6Error, match="non-printable graph6 byte"):
+            graph_from_graph6(line)
+
 
 class TestSimilarityTriples:
     def test_cycle(self):
