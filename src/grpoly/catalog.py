@@ -34,14 +34,6 @@ CHROMATIC_MAX_N = 10
 TUTTE_MAX_N = 12
 SUBSET_CAP_BITS = 24
 
-FAMILY_NAMES = ("charA", "charL", "charCycle", "matchingDefect",
-                "matchingGen", "matchingBiv", "chromatic", "tutte",
-                "independence", "clique", "vertexCover", "domination",
-                "edgeCover")
-
-FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
-                for name in FAMILY_NAMES}
-
 T = TypeVar("T")
 
 
@@ -453,6 +445,12 @@ _FAMILY_FUNCS: dict[str, Callable[[Graph], Union[IntPoly, MultiPoly]]] = {
     "domination": lambda g: subset_counting_poly(g, "domination"),
     "edgeCover": lambda g: subset_counting_poly(g, "edgeCover"),
 }
+
+# the registry is the one list of families; only a bivariate one is named again
+FAMILY_NAMES = tuple(_FAMILY_FUNCS)
+
+FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
+                for name in FAMILY_NAMES}
 
 
 def family_polynomial(name: str, g: Graph) -> Union[IntPoly, MultiPoly]:

@@ -4,8 +4,11 @@ Graphs are grouped into similarity classes (same vertex, edge and component
 counts); a family's distinctive power is its value partition on each class.
 Family P transfers through family Q when Q-equality forces P-equality on
 every class, i.e. Q's partition is at least as fine as P's everywhere.
-Verdicts carry minimal witness pairs in enumeration order so scans are
-reproducible byte for byte.
+One grouping rule and one witness rule serve every scan, so scans are
+reproducible byte for byte.  ``_blocks`` groups a class's values into blocks
+in first-seen order, members in enumeration order.  ``_violation`` takes one
+family's blocks in that order, compares each block's first member with every
+later one under the other family, and returns the first pair that differs.
 
 The corpus is built once per process: the classes of each vertex count are
 grouped on first use and kept, and every scan over every ``nmax`` reads the
@@ -69,14 +72,21 @@ def _resolve(family: Family) -> tuple[str, Callable]:
     return family, lambda g, name=family: family_polynomial(name, g)
 
 
+def _blocks(values: Sequence) -> list[list[int]]:
+    """Indices of equal values: blocks in first-seen order, members in
+    index order."""
+    blocks: dict = {}
+    for i, value in enumerate(values):
+        blocks.setdefault(value, []).append(i)
+    return list(blocks.values())
+
+
 def value_partition(family: Family, cls: SimilarityClass
                     ) -> list[list[Graph]]:
     """Fibers of the family map on one class, in first-seen member order."""
     _, fn = _resolve(family)
-    blocks: dict = {}
-    for g in cls.members:
-        blocks.setdefault(fn(g), []).append(g)
-    return list(blocks.values())
+    return [[cls.members[i] for i in block]
+            for block in _blocks([fn(g) for g in cls.members])]
 
 
 @dataclass(frozen=True)
@@ -106,30 +116,19 @@ def _value_json(value: Union[IntPoly, MultiPoly]):
     return {"arity": value.arity, **poly_wire(value)}
 
 
-def _first_violation(q_values: Sequence, p_values: Sequence
-                     ) -> Optional[tuple[int, int]]:
-    """First index pair with equal Q-value and different P-value, or None.
-
-    Q-blocks are taken in first-seen order and each block's first member is
-    compared with every later member of that block.
-    """
-    blocks: dict = {}
-    for i, value in enumerate(q_values):
-        blocks.setdefault(value, []).append(i)
-    for first, *rest in blocks.values():
+def _violation(cls: SimilarityClass, values: Sequence[Sequence], d: int
+               ) -> Optional[WitnessPair]:
+    """The first pair of members equal under ``values[d]`` and different
+    under ``values[1 - d]`` (two families' values in member order), as a
+    witness with ``values[0]`` on the left; None when there is none."""
+    for first, *rest in _blocks(values[d]):
         for other in rest:
-            if p_values[first] != p_values[other]:
-                return first, other
+            if values[1 - d][first] != values[1 - d][other]:
+                return WitnessPair(cls.triple, cls.members[first],
+                                   cls.members[other],
+                                   (values[0][first], values[0][other]),
+                                   (values[1][first], values[1][other]))
     return None
-
-
-def _witness(cls: SimilarityClass, pair: tuple[int, int], left_values: list,
-             right_values: list) -> WitnessPair:
-    i, j = pair
-    return WitnessPair(triple=cls.triple, g1=cls.members[i],
-                       g2=cls.members[j],
-                       left_values=(left_values[i], left_values[j]),
-                       right_values=(right_values[i], right_values[j]))
 
 
 def dp_transfer(p: Family, q: Family, cls: SimilarityClass
@@ -139,14 +138,9 @@ def dp_transfer(p: Family, q: Family, cls: SimilarityClass
     Returns (True, None) or (False, first violating pair in member order):
     two similar graphs with equal Q-value and different P-value.
     """
-    _, pf = _resolve(p)
-    _, qf = _resolve(q)
-    p_values = [pf(g) for g in cls.members]
-    q_values = [qf(g) for g in cls.members]
-    pair = _first_violation(q_values, p_values)
-    if pair is None:
-        return True, None
-    return False, _witness(cls, pair, p_values, q_values)
+    values = [[fn(g) for g in cls.members] for _, fn in map(_resolve, (p, q))]
+    witness = _violation(cls, values, 1)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -174,21 +168,18 @@ def dp_compare(left: Family, right: Family, nmax: int) -> EquivalenceVerdict:
     """
     left_name, lf = _resolve(left)
     right_name, rf = _resolve(right)
-    classes = similarity_classes(nmax)
     # forces[0]: left-equality forces right-equality; forces[1]: conversely
     forces = [True, True]
     witnesses: list[WitnessPair] = []
-    for cls in classes:
+    for cls in similarity_classes(nmax):
         if not any(forces):
             break
         values = [[f(g) for g in cls.members] for f in (lf, rf)]
         for d in (0, 1):
-            if not forces[d]:
-                continue
-            pair = _first_violation(values[d], values[1 - d])
-            if pair is not None:
+            witness = _violation(cls, values, d) if forces[d] else None
+            if witness is not None:
                 forces[d] = False
-                witnesses.append(_witness(cls, pair, *values))
+                witnesses.append(witness)
     relation = {(True, True): "equivalent",
                 (True, False): "left-refines-right",
                 (False, True): "right-refines-left",
@@ -199,12 +190,8 @@ def dp_compare(left: Family, right: Family, nmax: int) -> EquivalenceVerdict:
 
 def find_collisions(family: Family, nmax: int
                     ) -> list[tuple[SimilarityClass, list[Graph]]]:
-    """All non-singleton fibers: similar, non-isomorphic, equal-value graphs."""
-    out = []
-    for cls in similarity_classes(nmax):
-        if len(cls.members) < 2:
-            continue
-        for block in value_partition(family, cls):
-            if len(block) >= 2:
-                out.append((cls, block))
-    return out
+    """All non-singleton fibers: similar, non-isomorphic, equal-value graphs;
+    a class of one graph is skipped without evaluating the family."""
+    return [(cls, block) for cls in similarity_classes(nmax)
+            if len(cls.members) >= 2
+            for block in value_partition(family, cls) if len(block) >= 2]

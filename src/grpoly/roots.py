@@ -422,6 +422,7 @@ def backward_error(p: IntPoly, z: complex) -> float:
 
     The c_i are the power-basis coefficients of p.
     """
+    _require_nonzero(p)
     return _residual(_float_coeffs(p.coeffs), z)
 
 

@@ -18,7 +18,7 @@ Grammar (tokens are ASCII digits, ASCII letters and ``+ - * ^ ( )``)::
 The optional exponent sign is the one extension over the plain grammar: it
 expresses reciprocal substitutions like X1^-2.  Negative exponents are only
 legal on the point-evaluation path (pole-avoiding sampling); polynomial
-evaluation rejects them.
+evaluation rejects them.  One precedence loop parses expr and term.
 
 A parsed ``SimExpr`` is a postfix program: a tuple of the instructions
 ``("int", c)``, ``("sym", name)``, ``("var", i)`` (X1 is i = 0), ``("+",)``,
@@ -78,29 +78,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         tokens.append((kind, value, m.start(m.lastgroup)))
 
 
-class _Parser:
-    """Recursive descent that appends each instruction to one list."""
+_LEVELS = (("+", "-"), ("*",))  # binary operators, loosest first
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.code: list[tuple] = []
 
-    def peek(self):
-        return self.tokens[self.pos]
+def parse_simexpr(text: str) -> SimExpr:
+    """Recursive descent that appends each instruction to one list.
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    ``expr(level)`` is the one precedence loop: operands of the next level
+    joined by the operators of ``_LEVELS[level]``, left to right; past the
+    last level, an operand is a factor."""
+    tokens = _tokenize(text)[::-1]  # the next token last
 
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
+    def take(kind=None):
+        """Consume the next token; with a kind, it must be of that kind."""
+        tok = tokens[-1]
+        if kind is not None and tok[0] != kind:
             raise SimParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return self.advance()
+        return tokens.pop()
 
-    def literal(self, tok) -> int:
+    def literal(tok) -> int:
         try:
             return int(tok[1])
         except ValueError:  # past Python's int-from-text digit limit
@@ -108,70 +104,60 @@ class _Parser:
                 f"integer literal of {len(tok[1])} digits is too long",
                 tok[2]) from None
 
-    def parse(self) -> SimExpr:
-        self.expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise SimParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return tuple(self.code)
+    def expr(level=0):
+        if level == len(_LEVELS):
+            return factor()
+        expr(level + 1)
+        while tokens[-1][0] in _LEVELS[level]:
+            op = take()[0]
+            expr(level + 1)
+            code.append((op,))
 
-    def expr(self):
-        self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            self.term()
-            self.code.append((op,))
+    def factor():
+        atom()
+        if tokens[-1][0] == "^":
+            take()
+            code.append(("^", exponent()))
 
-    def term(self):
-        self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            self.factor()
-            self.code.append(("*",))
-
-    def factor(self):
-        self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            self.code.append(("^", self.exponent()))
-
-    def exponent(self) -> Union[int, SimExpr]:
-        tok = self.peek()
+    def exponent() -> Union[int, SimExpr]:
+        tok = tokens[-1]
         if tok[0] == "-":
-            self.advance()
-            return -self.literal(self.expect("INT"))
-        start = len(self.code)
-        self.atom()
-        exp = tuple(self.code[start:])
-        del self.code[start:]
+            take()
+            return -literal(take("INT"))
+        start = len(code)
+        atom()
+        exp = tuple(code[start:])
+        del code[start:]
         if any(ins[0] == "var" for ins in exp):
             raise SimParseError("indeterminate in exponent", tok[2])
         return exp[0][1] if exp[0][0] == "int" and len(exp) == 1 else exp
 
-    def atom(self):
-        tok = kind, value, pos = self.advance()
+    def atom():
+        tok = kind, value, pos = take()
         if kind == "INT":
-            self.code.append(("int", self.literal(tok)))
+            code.append(("int", literal(tok)))
         elif kind == "NAME" and value in SYMBOLS:
-            self.code.append(("sym", value))
+            code.append(("sym", value))
         elif kind == "NAME" and re.fullmatch("X[1-5]", value):
-            self.code.append(("var", int(value[1]) - 1))
+            code.append(("var", int(value[1]) - 1))
         elif kind == "NAME":
             raise SimParseError(f"unknown name {value!r}", pos)
         elif kind == "(":
-            self.expr()
-            self.expect(")")
+            expr()
+            take(")")
         else:
             raise SimParseError(f"unexpected token {value!r}", pos)
 
-
-def parse_simexpr(text: str) -> SimExpr:
-    parser = _Parser(text)
+    code: list[tuple] = []
     try:
-        return parser.parse()
+        expr()
     except RecursionError:
         raise SimParseError("expression nested too deeply",
-                            parser.peek()[2]) from None
+                            tokens[-1][2]) from None
+    tok = tokens[-1]
+    if tok[0] != "EOF":
+        raise SimParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+    return tuple(code)
 
 
 def _run(e: SimExpr, atom, binary, power):
@@ -381,13 +367,10 @@ class ReductionVerdict:
 
 
 def _candidate_values(count: int) -> list[Fraction]:
-    vals = []
-    j = 1
-    while len(vals) < count:
-        vals.extend([Fraction(j), Fraction(-j), Fraction(1, j + 1),
-                     Fraction(-1, j + 1)])
-        j += 1
-    return vals[:count]
+    """The first count of 1, -1, 1/2, -1/2, 2, -2, 1/3, -1/3, ..."""
+    return [x for j in range(1, count // 4 + 2)
+            for x in (Fraction(j), Fraction(-j), Fraction(1, j + 1),
+                      Fraction(-1, j + 1))][:count]
 
 
 def verify_prefactor_reduction(spec: ReductionSpec, corpus: Sequence[Graph]

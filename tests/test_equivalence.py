@@ -287,6 +287,13 @@ class TestCollisions:
         hits = find_collisions("charA", 6)
         assert hits, "adjacency-cospectral similar pairs exist at n = 6"
 
+    def test_only_classes_that_can_collide_are_evaluated(self):
+        family, calls = _counted("chromatic")
+        find_collisions(family, 6)
+        assert calls == Counter(g for cls in similarity_classes(6)
+                                if len(cls.members) >= 2
+                                for g in cls.members)
+
 
 class TestPrefactorImpliesTransfer:
     def test_reduction_pass_implies_equivalence(self):

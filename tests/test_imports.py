@@ -1,7 +1,11 @@
-"""Every name a grpoly module imports is used in that module, and every
-module-level private function or class is referenced outside its own body."""
+"""Every name a grpoly module imports is used in that module, every
+module-level private function or class is referenced outside its own body,
+and every public one is named somewhere other than its own definition: in
+its module, another module, or the scripts, benchmark or tests.  A re-export
+in ``__init__`` does not count."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,9 @@ import grpoly
 
 MODULES = sorted(p for p in Path(grpoly.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
+ROOT = Path(__file__).resolve().parent.parent
+USERS = sorted(p for folder in ("scripts", "perfbench", "tests")
+               for p in (ROOT / folder).rglob("*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -20,6 +27,24 @@ def _names(node: ast.AST) -> set[str]:
     """Names and attribute names read anywhere under node."""
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """_names(node) and the parts of every dotted-name string under node,
+    the way the benchmark's tracer lists the functions it wraps."""
+    return _names(node) | {
+        part for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and re.fullmatch(r"[A-Za-z_][\w.]*", n.value)
+        for part in n.value.split(".")}
+
+
+@pytest.fixture(scope="module")
+def mentions() -> dict[str, set[str]]:
+    """What each grpoly module, and everything outside the package, names."""
+    out = {path.name: _mentions(_parse(path)) for path in MODULES}
+    out["outside"] = set().union(*(_mentions(_parse(p)) for p in USERS))
+    return out
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -47,5 +72,19 @@ def test_no_unused_private_definitions(path):
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and stmt.name.startswith("_") and not stmt.name.startswith("__")
         and not any(stmt.name in _names(other)
+                    for other in tree.body if other is not stmt))
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_public_definition_is_named(path, mentions):
+    tree = _parse(path)
+    elsewhere = set().union(*(names for name, names in mentions.items()
+                              if name != path.name))
+    unused = sorted(
+        f"{stmt.name} (line {stmt.lineno})" for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_") and stmt.name not in elsewhere
+        and not any(stmt.name in _mentions(other)
                     for other in tree.body if other is not stmt))
     assert unused == []

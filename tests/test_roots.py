@@ -152,6 +152,10 @@ class TestComplexRoots:
         for z, _ in complex_roots(p):
             assert backward_error(p, z) <= 1e-8
 
+    def test_backward_error_rejects_the_zero_polynomial(self):
+        with pytest.raises(ZeroPolynomialError, match="zero polynomial"):
+            backward_error(IntPoly(()), 1j)
+
 
 class TestYun:
     def test_known_decomposition(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -321,3 +322,68 @@ def test_random_expressions_match_sympy(seed):
                 continue
             assert eval_simexpr_at_point(e, t, point) == Fraction(
                 int(expected.p), int(expected.q)), (text, t, pt)
+
+
+# -- parser digest ------------------------------------------------------------------
+
+_FUZZ_PIECES = (
+    "0", "7", "12", "007", "n", "m", "k", "nu", "rho", "X1", "X2", "X5",
+    "X0", "X6", "x1", "q", "nux", "X12", "+", "-", "*", "^", "(", ")", "^-",
+    "^(", " ", "  ", "\t", "\u00e9", "\u00b2", "\u0663", "#", ".", "/")
+
+
+def _fuzz_text(rng):
+    """A seeded text: a well-formed expression, one with a piece spliced in
+    or cut out, or a soup of tokens and stray characters."""
+    r = rng.random()
+    if r < 0.45:
+        return _fuzz_expr(rng, 3)
+    if r < 0.8:
+        text = _fuzz_expr(rng, 3)
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            return text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
+        return text[:i] + text[i + rng.randint(1, 3):]
+    if r < 0.995:
+        return "".join(rng.choice(_FUZZ_PIECES)
+                       for _ in range(rng.randint(0, 12)))
+    return (rng.choice(("n + ", "X1^-", "(", ""))
+            + "9" * rng.randint(4290, 4310))
+
+
+def _fuzz_expr(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        text = rng.choice(("n", "m", "k", "nu", "rho", "X1", "X2", "X5",
+                           str(rng.randint(0, 99))))
+    elif r < 0.55:
+        text = f"({_fuzz_expr(rng, depth - 1)})"
+    else:
+        op = rng.choice(("+", "-", "*", " + ", " - ", " * "))
+        text = f"{_fuzz_expr(rng, depth - 1)}{op}{_fuzz_expr(rng, depth - 1)}"
+    while rng.random() < 0.3:
+        text += "^" + rng.choice((str(rng.randint(0, 4)),
+                                  f"-{rng.randint(0, 3)}", "n", "rho",
+                                  f"({_fuzz_expr(rng, depth - 1)})",
+                                  "-n", "X1", "(-2)", "(2)"))
+    return text
+
+
+PARSE_DIGEST = ("711fb10096215bde32500b554b785a6c"
+                "47f148b5d81d701442f43ecebaf85239")
+
+
+def test_parse_digest_over_seeded_texts():
+    """One sha256 over 20,000 seeded texts: each text with its program, or
+    with its error message and position.  Deep nesting is left out; where
+    it stops is a matter of stack depth."""
+    rng = random.Random(20240)
+    digest = hashlib.sha256()
+    for _ in range(20000):
+        text = _fuzz_text(rng)
+        try:
+            out = repr(parse_simexpr(text))
+        except SimParseError as exc:
+            out = f"{exc} {exc.pos}"
+        digest.update(f"{text}\0{out}\0".encode())
+    assert digest.hexdigest() == PARSE_DIGEST
