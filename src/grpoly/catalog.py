@@ -453,10 +453,14 @@ FAMILY_ARITY = {name: 2 if name in ("tutte", "matchingBiv") else 1
                 for name in FAMILY_NAMES}
 
 
+def unknown_family(name: str) -> str:
+    """The error text for a family name outside the registry."""
+    return f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}"
+
+
 def family_polynomial(name: str, g: Graph) -> Union[IntPoly, MultiPoly]:
     try:
         fn = _FAMILY_FUNCS[name]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: "
-                         f"{', '.join(FAMILY_NAMES)}") from None
+        raise ValueError(unknown_family(name)) from None
     return fn(g)

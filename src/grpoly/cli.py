@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import FAMILY_NAMES, family_polynomial
+from .catalog import FAMILY_NAMES, family_polynomial, unknown_family
 from .equivalence import dp_compare
 from .graphs import (Graph, enumerate_graph6, enumerate_graphs,
                      graph_to_graph6, named_graph, read_graph6_lines,
@@ -75,8 +75,7 @@ class UsageError(ValueError):
 
 def _check_family(name: str):
     if name not in FAMILY_NAMES:
-        raise UsageError(
-            f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+        raise UsageError(unknown_family(name))
 
 
 def _family_values(args, multivariate: str | None = None):
@@ -122,8 +121,10 @@ def cmd_roots(args) -> tuple[int, list[str]]:
 
 
 def cmd_transform(args) -> tuple[int, list[str]]:
-    chain = [s for s in args.chain.split(",") if s]
+    chain = args.chain.split(",")
     for step in chain:
+        if not step:
+            raise UsageError(f"empty step in --chain {args.chain!r}")
         name = step.partition(":")[0]
         if name not in TRANSFORM_NAMES:
             raise UsageError(f"unknown transform {name!r}; known: "

@@ -23,11 +23,9 @@ MAX_CANON_N = 10
 class Graph6Error(ValueError):
     """Malformed graph6 input; carries the offending byte offset."""
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, message: str, offset: int):
         self.offset = offset
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+        super().__init__(f"{message} (byte offset {offset})")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .catalog import FAMILY_ARITY, family_polynomial
+from .catalog import FAMILY_ARITY, family_polynomial, unknown_family
 from .graphs import Graph, SimilarityTriple, graph_to_graph6, similarity_triple
 from .polynomials import X, IntPoly, MultiPoly, evaluate
 
@@ -302,8 +302,7 @@ class ReductionSpec:
     def __post_init__(self):
         for name in (self.family_p, self.family_q):
             if name not in FAMILY_ARITY:
-                raise ValueError(f"unknown family {name!r}; known: "
-                                 f"{', '.join(FAMILY_ARITY)}")
+                raise ValueError(unknown_family(name))
 
     @classmethod
     def from_strings(cls, family_p: str, family_q: str, prefactor: str,

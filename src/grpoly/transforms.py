@@ -4,9 +4,10 @@ Each construction pairs a forward map with exact inverse data, so that the
 transformed family carries the same distinctive power as the original:
 sign-flips and variable squarings clear real roots out of half-lines, the
 interleave/realify pipeline forces all roots onto the integers 0..s, the
-dense prefactors adjoin root sets that are dense on the half-line or in the
-plane, and coefficient-bounded scaling pulls every root into the disk of
-radius 2.
+dense prefactors adjoin root sets that are dense on the positive half-line
+or in the right half-plane (``negate_variable``, the reflection z -> -z,
+mirrors them to the other side), and coefficient-bounded scaling pulls
+every root into the disk of radius 2.
 
 The sign, parity and scale substitutions are coefficient maps, each O(d) on
 a degree-d input: P(-X) sends h_i to (-1)^i h_i, P(X^2) moves h_i to slot
@@ -21,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Optional, Sequence
 
 from .graphs import (Graph, SimilarityTriple, build_graph_with_parameters,
@@ -154,49 +155,37 @@ def realify_rootencode(p: IntPoly) -> IntPoly:
 
 # -- dense prefactors ---------------------------------------------------------------
 
-def dense_real_prefactor(t: SimilarityTriple, sign: str = "+") -> IntPoly:
-    """(kX -+ n)(nX -+ k): roots n/k and k/n (or their negatives).
+def dense_real_prefactor(t: SimilarityTriple) -> IntPoly:
+    """(kX - n)(nX - k): roots n/k and k/n.
 
     Over all graphs these ratios run through a dense subset of the positive
-    (negative) reals, which is what makes the factor a universal real
-    densifier.
+    reals, which is what makes the factor a universal real densifier; its
+    ``negate_variable`` image (kX + n)(nX + k) serves the negative reals.
     """
     n, k = t.n, t.k
-    if sign == "+":
-        return IntPoly((-n, k)) * IntPoly((-k, n))
-    if sign == "-":
-        return IntPoly((n, k)) * IntPoly((k, n))
-    raise ValueError("sign must be '+' or '-'")
+    return IntPoly((-n, k)) * IntPoly((-k, n))
 
 
-QUADRANT_HALVES = ("right", "left")
+def quadrant_factor(a: int, b: int, c: int) -> IntPoly:
+    """c^2 X^2 - 2ac X + (a^2 + b^2), with roots (a +- bi)/c.
 
-
-def quadrant_factor(a: int, b: int, c: int, half: str = "right") -> IntPoly:
-    """c^2 X^2 -+ 2ac X + (a^2 + b^2), with roots (+-a +- bi)/c.
-
-    The right half takes the minus sign (roots with real part a/c > 0), the
-    left half the plus sign.
+    Its ``negate_variable`` image has the mirrored roots (-a +- bi)/c.
     """
-    if half not in QUADRANT_HALVES:
-        raise ValueError(f"half must be one of {QUADRANT_HALVES}")
-    sign = -1 if half == "right" else 1
-    return IntPoly((a * a + b * b, sign * 2 * a * c, c * c))
+    return IntPoly((a * a + b * b, -2 * a * c, c * c))
 
 
-def quadrant_prefactor(t: SimilarityTriple, half: str) -> IntPoly:
+def quadrant_prefactor(t: SimilarityTriple) -> IntPoly:
     """Degree-12 product of quadrant factors over all (a,b,c) bijections.
 
-    (a, b, c) runs through the 6 bijections onto (n, m, k); the two
-    conjugate-closed halves together cover all four quadrants.
+    (a, b, c) runs through the 6 bijections onto (n, m, k): the roots
+    (a +- bi)/c lie in the right half-plane, their ``negate_variable``
+    images in the left.
     """
     values = (t.n, t.m, t.k)
     if any(v == 0 for v in values):
         raise ValueError("all triple components must be nonzero")
-    acc = ONE
-    for a, b, c in itertools.permutations(values):
-        acc = acc * quadrant_factor(a, b, c, half)
-    return acc
+    return prod((quadrant_factor(a, b, c)
+                 for a, b, c in itertools.permutations(values)), start=ONE)
 
 
 DENSIFY_MODES = ("complex", "real-positive")
@@ -205,17 +194,18 @@ DENSIFY_MODES = ("complex", "real-positive")
 def densify(p: IntPoly, t: SimilarityTriple, mode: str) -> IntPoly:
     """Adjoin a dense prefactor root set to p.
 
-    complex: both quadrant halves (degree 24) times p.
+    complex: the quadrant prefactor times its ``negate_variable`` image
+    (degree 24, roots (+-a +- bi)/c in all four quadrants) times p.
     real-positive: the positive dense real prefactor times p; requires p to
     be real-rooted already so the product stays real-rooted.
     """
     if mode == "complex":
-        return (quadrant_prefactor(t, "right")
-                * quadrant_prefactor(t, "left") * p)
+        right = quadrant_prefactor(t)
+        return right * negate_variable(right) * p
     if mode == "real-positive":
         if p.is_zero() or not is_real_rooted(p):
             raise ValueError("real-positive densify needs a real-rooted input")
-        return dense_real_prefactor(t, "+") * p
+        return dense_real_prefactor(t) * p
     raise ValueError(f"mode must be one of {DENSIFY_MODES}")
 
 
@@ -337,7 +327,7 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
     # quadrant_factor(a, b, c), up to the common scale, divides the product
     # and vanishes exactly at (a+bi)/c; report the root's backward error in
     # the full degree-12 product.
-    residual = backward_error(quadrant_prefactor(triple, "right"),
+    residual = backward_error(quadrant_prefactor(triple),
                               complex(root_re, root_im))
     dist = (root_re - re) ** 2 + (root_im - im) ** 2
     return DensityWitness(a=a, b=b, c=c, scale=scale, triple=triple, graph=g,
@@ -418,46 +408,41 @@ def permute_coefficients(p: IntPoly, perm: Sequence[int]) -> IntPoly:
 
 # -- named registry (CLI) -------------------------------------------------------------
 
+# the argument-free transforms: name -> (map, name of the inverse)
+_PLAIN_TRANSFORMS = {
+    "negate": (negate_variable, "negate"),
+    "square": (square_variable, "even-part"),
+    "interleave": (interleave_nonneg, "deinterleave"),
+    "deinterleave": (deinterleave, "interleave"),
+    "rootencode": (realify_rootencode, "multiset-of-roots"),
+}
+
+
 def apply_named_transform(name: str, p: IntPoly,
                           t: Optional[SimilarityTriple] = None,
                           arg: Optional[str] = None) -> TransformRecord:
     """Apply one transform by CLI name, recording params and inverse data."""
-    if name == "negate":
-        return TransformRecord("negate", {}, p, negate_variable(p),
-                               {"inverse": "negate"})
-    if name == "square":
-        return TransformRecord("square", {}, p, square_variable(p),
-                               {"inverse": "even-part"})
-    if name == "interleave":
-        return TransformRecord("interleave", {}, p, interleave_nonneg(p),
-                               {"inverse": "deinterleave"})
-    if name == "deinterleave":
-        return TransformRecord("deinterleave", {}, p, deinterleave(p),
-                               {"inverse": "interleave"})
+    if name in _PLAIN_TRANSFORMS:
+        if arg is not None:
+            raise ValueError(f"{name} takes no argument, got {arg!r}")
+        fn, inverse = _PLAIN_TRANSFORMS[name]
+        return TransformRecord(name, {}, p, fn(p), {"inverse": inverse})
+    if t is None and name in ("densify", "scale"):
+        raise ValueError(f"{name} needs a graph source for the triple")
     if name == "realify":
         s = int(arg) if arg is not None else max(p.degree, 0)
         return TransformRecord("realify", {"s": s}, p, realify(p, s),
                                {"s": s, "inverse": "recover-coefficients"})
-    if name == "rootencode":
-        return TransformRecord("rootencode", {}, p, realify_rootencode(p),
-                               {"inverse": "multiset-of-roots"})
     if name == "densify":
         mode = arg or "complex"
-        if t is None:
-            raise ValueError("densify needs a graph source for the triple")
         return TransformRecord(
             "densify", {"mode": mode, "n": t.n, "m": t.m, "k": t.k},
             p, densify(p, t, mode), {"divide-by": "prefactor"})
     if name == "rouche":
-        if arg is None:
-            a = max(1, max((abs(c) for c in p.coeffs[:-1]), default=0))
-        else:
-            a = int(arg)
+        a = int(arg) if arg is not None else max([1, *map(abs, p.coeffs[:-1])])
         return TransformRecord("rouche", {"A": a}, p, rouche_scale(p, a),
                                {"A": a, "inverse": "X -> X/A"})
     if name == "scale":
-        if t is None:
-            raise ValueError("scale needs a graph source for the triple")
         r = int(arg) if arg is not None else 1
         return TransformRecord(
             "scale", {"r": r, "n": t.n}, p, scale_for_graph(p, t, r),

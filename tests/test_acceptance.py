@@ -7,7 +7,6 @@ criterion pins its tolerance and, where stated, its wall-clock budget.
 """
 
 import hashlib
-import json
 import math
 import os
 import random

@@ -18,7 +18,6 @@ from grpoly.graphs import (complement, disjoint_union, enumerate_graphs,
                            graph, named_graph, similarity_triple,
                            tree_shapes_by_prufer)
 from grpoly.polynomials import IntPoly, evaluate, from_roots, poly, substitute
-from grpoly.roots import integer_roots
 from oracles import (char_poly_oracle, edge_cover_counts_brute,
                      matching_counts_brute, proper_coloring_count,
                      spanning_tree_count_brute, tutte_bundles_reference,

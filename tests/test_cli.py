@@ -484,9 +484,16 @@ class TestMalformedInput:
          "complete:99999999999999999999"],
         ["poly", "--family", "charA", "--named",
          "edgeless:99999999999999999999"],
+        *(["transform", "--family", "charA", "--named", "cycle:4",
+           "--chain", chain]
+          for chain in (",", "negate,,square", "negate,", "negate:5",
+                        "interleave:x")),
     ], ids=["empty-spec", "unknown-family", "spec-not-object",
             "deep-prefactor", "target-zero-denominator",
-            "eps-zero-denominator", "huge-complete", "huge-edgeless"])
+            "eps-zero-denominator", "huge-complete", "huge-edgeless",
+            "chain-comma", "chain-empty-middle-step",
+            "chain-trailing-comma", "chain-negate-argument",
+            "chain-interleave-argument"])
     def test_exits_two_with_one_error_line(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -5,11 +5,11 @@ import pytest
 
 from grpoly import catalog
 from grpoly.catalog import FAMILY_NAMES, family_polynomial
-from grpoly.equivalence import (EquivalenceVerdict, WitnessPair, dp_compare,
-                                dp_transfer, find_collisions,
-                                similarity_classes, value_partition)
+from grpoly.equivalence import (WitnessPair, dp_compare, dp_transfer,
+                                find_collisions, similarity_classes,
+                                value_partition)
 from grpoly.graphs import graph_to_graph6, similarity_triple
-from grpoly.polynomials import IntPoly, poly
+from grpoly.polynomials import poly
 from grpoly.simfun import ReductionSpec, verify_prefactor_reduction
 from grpoly.transforms import (interleave_nonneg, negate_variable,
                                permute_coefficients, realify, scale_for_graph,

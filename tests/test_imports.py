@@ -1,8 +1,8 @@
-"""Every name a grpoly module imports is used in that module, every
-module-level private function or class is referenced outside its own body,
-and every public one is named somewhere other than its own definition: in
-its module, another module, or the scripts, benchmark or tests.  A re-export
-in ``__init__`` does not count."""
+"""Every name a grpoly module, test or script imports is used in that
+file, every module-level private function or class of a grpoly module is
+referenced outside its own body, and every public one is named somewhere
+other than its own definition: in its module, another module, or the
+scripts, benchmark or tests.  A re-export in ``__init__`` does not count."""
 
 import ast
 import re
@@ -17,6 +17,8 @@ MODULES = sorted(p for p in Path(grpoly.__file__).parent.glob("*.py")
 ROOT = Path(__file__).resolve().parent.parent
 USERS = sorted(p for folder in ("scripts", "perfbench", "tests")
                for p in (ROOT / folder).rglob("*.py"))
+IMPORTERS = MODULES + sorted(p for folder in ("tests", "scripts")
+                             for p in (ROOT / folder).glob("*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -47,7 +49,7 @@ def mentions() -> dict[str, set[str]]:
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
 def test_no_unused_imports(path):
     tree = _parse(path)
     imported = {}

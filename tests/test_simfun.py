@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from grpoly.catalog import family_polynomial
 from grpoly.graphs import (SimilarityTriple, enumerate_graphs, named_graph,
                            similarity_triple)
 from grpoly.polynomials import IntPoly, poly
@@ -146,6 +147,15 @@ class TestReductionSpecs:
         assert hash(parse_simexpr(text)) == hash(parse_simexpr(text))
         spec = ReductionSpec.from_strings("charA", "charA", text, [text])
         assert ReductionSpec.from_json(spec.to_json()) == spec
+
+    def test_unknown_family_has_the_catalog_message(self):
+        with pytest.raises(ValueError) as spec_error:
+            ReductionSpec("nope", "charA", parse_simexpr("1"),
+                          (parse_simexpr("X1"),))
+        with pytest.raises(ValueError) as catalog_error:
+            family_polynomial("nope", named_graph("path", 2))
+        assert str(spec_error.value) == str(catalog_error.value)
+        assert str(spec_error.value).startswith("unknown family 'nope'; known: ")
 
     def test_arity_mismatch(self):
         spec = ReductionSpec.from_strings(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -206,19 +207,20 @@ class TestRealify:
 
 class TestDensePrefactors:
     def test_positive_pair(self):
-        out = dense_real_prefactor(T542, "+")
+        out = dense_real_prefactor(T542)
         assert out == poly(10, -29, 10)
         assert evaluate(out, Fraction(5, 2)) == 0
         assert evaluate(out, Fraction(2, 5)) == 0
 
     def test_degenerate_single_vertex(self):
         t = SimilarityTriple(1, 0, 1)
-        assert dense_real_prefactor(t, "+") == poly(1, -2, 1)
+        assert dense_real_prefactor(t) == poly(1, -2, 1)
 
-    def test_negative_pair(self):
-        out = dense_real_prefactor(T542, "-")
+    def test_negative_pair_is_the_mirror_image(self):
+        out = negate_variable(dense_real_prefactor(T542))
         assert out == poly(10, 29, 10)
         assert evaluate(out, Fraction(-5, 2)) == 0
+        assert evaluate(out, Fraction(-2, 5)) == 0
 
     def test_quadrant_factor_example(self):
         f = quadrant_factor(1, 2, 3)
@@ -232,10 +234,9 @@ class TestDensePrefactors:
         assert eval_at_gaussian(f2, Fraction(1, 3), Fraction(2, 3)) == (0, 0)
 
     def test_quadrant_prefactor_c4(self):
-        p = quadrant_prefactor(T441, "right")
+        p = quadrant_prefactor(T441)
         assert p.degree == 12
         # every root (a + bi)/c for a bijection (a,b,c) of (4,4,1)
-        import itertools
         for a, b, c in itertools.permutations((4, 4, 1)):
             assert eval_at_gaussian(p, Fraction(a, c), Fraction(b, c)) == (0, 0)
         # no root on an axis for this triple
@@ -244,13 +245,21 @@ class TestDensePrefactors:
 
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError):
-            quadrant_prefactor(SimilarityTriple(2, 0, 2), "right")
+            quadrant_prefactor(SimilarityTriple(2, 0, 2))
 
 
 class TestDensify:
     def test_pure_prefactor(self):
         out = densify(poly(1), T441, "complex")
         assert out.degree == 24
+
+    @pytest.mark.parametrize("t", [T441, T542], ids=["T441", "T542"])
+    def test_complex_prefactor_vanishes_in_all_four_quadrants(self, t):
+        out = densify(poly(1), t, "complex")
+        for a, b, c in itertools.permutations((t.n, t.m, t.k)):
+            for re, im in itertools.product((a, -a), (b, -b)):
+                assert eval_at_gaussian(out, Fraction(re, c),
+                                        Fraction(im, c)) == (0, 0)
 
     def test_real_mode(self):
         p = poly(0, 0, -1, 3, -3, 1)  # X^2 (X-1)^3, real rooted
@@ -294,7 +303,7 @@ class TestDensityWitness:
 
     def test_prefactor_vanishes_at_root(self):
         w = density_witness(Fraction(3, 7), Fraction(1, 5), Fraction(1, 100))
-        p = quadrant_prefactor(w.triple, "right")
+        p = quadrant_prefactor(w.triple)
         assert eval_at_gaussian(p, w.root[0], w.root[1]) == (0, 0)
 
     def test_axis_rejected(self):
@@ -484,3 +493,9 @@ class TestNamedRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             apply_named_transform("fourier", poly(1))
+
+    @pytest.mark.parametrize("name", ["negate", "square", "interleave",
+                                      "deinterleave", "rootencode"])
+    def test_argument_free_transform_rejects_an_argument(self, name):
+        with pytest.raises(ValueError, match=f"^{name} takes no argument"):
+            apply_named_transform(name, poly(1, 2), T542, "5")
