@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: poly, roots, transform, equiv, prefactor, density, enum,
-scatter.  All numeric output is printed as decimal strings with fixed
-precision and results are printed in input order.  Lines are printed only
-after the command has returned, so a failure prints none of them; scatter
-alone prints its CSV header first, before its rows are computed.
+scatter.  Records hand this module JSON objects (``to_json_dict``) whose
+numbers are decimal strings of fixed precision; it writes all the text, one
+``json.dumps`` a line, in input order and only after the command has
+returned, so a failure prints none of it.  Scatter alone prints its CSV
+header first: once the family, its arity and the source are checked, before
+its rows are computed.
 
 Exit codes: 0 success, 1 verification did not PASS, 2 usage error or
 malformed input (any ``ValueError`` or ``OSError``, such as a bad spec, an
@@ -20,17 +22,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
-from .catalog import FAMILY_NAMES, family_polynomial, unknown_family
+from .catalog import FAMILY_ARITY, family_polynomial, unknown_family
 from .equivalence import dp_compare
 from .graphs import (Graph, enumerate_graph6, enumerate_graphs,
                      graph_to_graph6, named_graph, read_graph6_lines,
                      similarity_triple, tree_from_prufer)
-from .polynomials import MultiPoly, poly_to_json
+from .polynomials import poly_to_json
 from .roots import RootFindingError, root_report, scatter_rows
 from .simfun import ReductionSpec, verify_prefactor_reduction
-from .transforms import TRANSFORM_NAMES, apply_named_transform, density_witness
+from .transforms import apply_named_transform, density_witness, parse_chain
 
 SCATTER_HEADER = "re,im,modulus,graph6,family"
 
@@ -62,11 +65,8 @@ def _load_source(args) -> list[Graph]:
             return [tree_from_prufer([int(x) for x in fields])]
         return [named_graph(family, int(arg))]
     if args.graph6 == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.graph6, "r", encoding="ascii") as fh:
-            text = fh.read()
-    return read_graph6_lines(text)
+        return read_graph6_lines(sys.stdin.read())
+    return read_graph6_lines(Path(args.graph6).read_text(encoding="ascii"))
 
 
 class UsageError(ValueError):
@@ -74,25 +74,19 @@ class UsageError(ValueError):
 
 
 def _check_family(name: str):
-    if name not in FAMILY_NAMES:
+    if name not in FAMILY_ARITY:
         raise UsageError(unknown_family(name))
 
 
 def _family_values(args, multivariate: str | None = None):
     """Check ``--family`` and read the source now (before scatter prints its
     header); the returned iterator yields (graph, family value) pairs as it
-    is consumed.  A bivariate value raises the *multivariate* message when
-    one is given."""
+    is consumed.  A bivariate family raises the *multivariate* message, when
+    one is given, before the source is read."""
     _check_family(args.family)
-    graphs = _load_source(args)
-
-    def pairs():
-        for g in graphs:
-            p = family_polynomial(args.family, g)
-            if multivariate and isinstance(p, MultiPoly):
-                raise UsageError(multivariate)
-            yield g, p
-    return pairs()
+    if multivariate and FAMILY_ARITY[args.family] == 2:
+        raise UsageError(multivariate)
+    return ((g, family_polynomial(args.family, g)) for g in _load_source(args))
 
 
 # -- subcommand implementations --------------------------------------------------
@@ -115,31 +109,25 @@ def cmd_roots(args) -> tuple[int, list[str]]:
         if p.is_zero():
             obj.update(report=None, note="zero polynomial")
         else:
-            obj["report"] = json.loads(root_report(p).to_json())
+            obj["report"] = root_report(p).to_json_dict()
         lines.append(json.dumps(obj))
     return 0, lines
 
 
 def cmd_transform(args) -> tuple[int, list[str]]:
-    chain = args.chain.split(",")
-    for step in chain:
-        if not step:
-            raise UsageError(f"empty step in --chain {args.chain!r}")
-        name = step.partition(":")[0]
-        if name not in TRANSFORM_NAMES:
-            raise UsageError(f"unknown transform {name!r}; known: "
-                             f"{', '.join(TRANSFORM_NAMES)}")
+    try:
+        chain = parse_chain(args.chain)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     lines = []
     for g, p in _family_values(
             args, "transform chains apply to univariate families"):
         t = similarity_triple(g)
-        for step in chain:
-            name, _, steparg = step.partition(":")
-            record = apply_named_transform(name, p, t, steparg or None)
-            obj = json.loads(record.to_json())
-            obj["graph6"] = graph_to_graph6(g)
-            obj["family"] = args.family
-            lines.append(json.dumps(obj))
+        for name, arg in chain:
+            record = apply_named_transform(name, p, t, arg)
+            lines.append(json.dumps({**record.to_json_dict(),
+                                     "graph6": graph_to_graph6(g),
+                                     "family": args.family}))
             p = record.output
     return 0, lines
 
@@ -147,17 +135,16 @@ def cmd_transform(args) -> tuple[int, list[str]]:
 def cmd_equiv(args) -> tuple[int, list[str]]:
     _check_family(args.left)
     _check_family(args.right)
-    return 0, [dp_compare(args.left, args.right, args.nmax).to_json()]
+    verdict = dp_compare(args.left, args.right, args.nmax)
+    return 0, [json.dumps(verdict.to_json_dict())]
 
 
 def cmd_prefactor(args) -> tuple[int, list[str]]:
-    if args.spec_json is not None:
-        with open(args.spec_json, "r", encoding="utf-8") as fh:
-            spec = ReductionSpec.from_json(fh.read())
-    else:
-        spec = ReductionSpec.from_json(args.spec)
-    verdict = verify_prefactor_reduction(spec, _load_source(args))
-    return (0 if verdict.status == "PASS" else 1), [verdict.to_json()]
+    text = args.spec if args.spec_json is None else \
+        Path(args.spec_json).read_text(encoding="utf-8")
+    verdict = verify_prefactor_reduction(ReductionSpec.from_json(text),
+                                         _load_source(args))
+    return int(verdict.status != "PASS"), [json.dumps(verdict.to_json_dict())]
 
 
 def cmd_density(args) -> tuple[int, list[str]]:
@@ -182,8 +169,8 @@ def cmd_enum(args) -> tuple[int, list[str]]:
 def cmd_scatter(args) -> tuple[int, list[str]]:
     pairs = _family_values(args, "scatter needs a univariate family")
     print(SCATTER_HEADER)  # before the rows are computed
-    return 0, [",".join(row) for g, p in pairs
-               for row in scatter_rows(p, graph_to_graph6(g), args.family)]
+    return 0, [",".join((*row, g6, args.family)) for g, p in pairs
+               for g6 in [graph_to_graph6(g)] for row in scatter_rows(p)]
 
 
 # -- parser ------------------------------------------------------------------------
@@ -247,16 +234,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, lines = args.func(args)
-    except UsageError as exc:
+    except (ValueError, OSError, RecursionError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (ValueError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RootFindingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, UsageError):
+            parser.print_usage(sys.stderr)
+        return 3 if isinstance(exc, RootFindingError) else 2
     for line in lines:
         print(line)
     return code

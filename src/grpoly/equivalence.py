@@ -20,8 +20,7 @@ computed afresh in every scan.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
@@ -99,8 +98,7 @@ class WitnessPair:
 
     def to_json_dict(self) -> dict:
         return {
-            "class": {"n": self.triple.n, "m": self.triple.m,
-                      "k": self.triple.k},
+            "class": asdict(self.triple),
             "g1": graph_to_graph6(self.g1),
             "g2": graph_to_graph6(self.g2),
             "val1_left": _value_json(self.left_values[0]),
@@ -150,13 +148,13 @@ class EquivalenceVerdict:
     relation: str
     witnesses: tuple[WitnessPair, ...]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "left": self.left,
             "right": self.right,
             "relation": self.relation,
             "witnesses": [w.to_json_dict() for w in self.witnesses],
-        })
+        }
 
 
 def dp_compare(left: Family, right: Family, nmax: int) -> EquivalenceVerdict:

@@ -203,17 +203,10 @@ def build_graph_with_parameters(v: int, e: int, k: int) -> Graph:
     """
     SimilarityTriple(v, e, k)
     size = v - k + 1  # the one non-trivial component
-    edges = [(i, i + 1) for i in range(size - 1)]
-    need = e - len(edges)
-    if need > 0:
-        for u, w in itertools.combinations(range(size), 2):
-            if w == u + 1:
-                continue
-            edges.append((u, w))
-            need -= 1
-            if need == 0:
-                break
-    return graph(v, edges)
+    path = [(i, i + 1) for i in range(size - 1)]
+    chords = ((u, w) for u, w in itertools.combinations(range(size), 2)
+              if w > u + 1)
+    return graph(v, path + list(itertools.islice(chords, e - len(path))))
 
 
 # -- graph6 -------------------------------------------------------------------

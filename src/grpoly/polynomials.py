@@ -10,9 +10,10 @@ sequences between the power basis (monomials X^i), the falling basis
 coefficients become an ``IntPoly``.  ``MultiPoly`` is the term table in X
 and Y of the two bivariate families, tutte and matchingBiv, evaluated at
 points (x, y).  Both have a ``degree`` that is -1 for zero, and
-``poly_to_json`` writes either one.  ``RatPoly``
-and ``rat_divmod`` remain only as the shell that the benchmark's tracer
-wraps; nothing in the package calls them.
+``poly_to_json`` writes either one.  The wire section holds the texts of
+the records' JSON objects: ``int_text``, ``float_text`` and ``poly_wire``.
+``RatPoly`` and ``rat_divmod`` remain only as the shell that the
+benchmark's tracer wraps; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -216,6 +217,11 @@ def int_text(c: int) -> str:
     """Decimal text of c.  Exact and equal to str(c), but not subject to the
     interpreter's limit on int-to-str digits (4300 by default)."""
     return str(Decimal(c))
+
+
+def float_text(x: float) -> str:
+    """x in scientific notation with 12 digits after the point."""
+    return format(x, ".12e")
 
 
 def poly_wire(p: Union[IntPoly, MultiPoly]) -> dict:

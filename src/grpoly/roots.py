@@ -13,13 +13,13 @@ Weierstrass inclusion disks of each factor are pairwise disjoint, and as many
 meet the real axis as the Sturm chain counts real roots, or RootFindingError
 is raised; the roots in the disks that meet the axis are then real and get
 imaginary part 0.
-``root_report`` makes one exact pass and reads every exact field off it.
+``root_report`` makes one exact pass and reads every exact field off it;
+its ``to_json_dict`` and ``scatter_rows`` give the CLI the fields it writes.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, inf, log, pi, prod
 
-from .polynomials import IntPoly
+from .polynomials import IntPoly, float_text
 
 RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 400
@@ -494,8 +494,8 @@ class RootReport:
     rouche_radius: Fraction
     max_modulus: float
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "degree": self.degree,
             "real_root_counts": {
                 "negative": self.negative_real,
@@ -506,16 +506,12 @@ class RootReport:
             "integer_roots": {str(r): m
                               for r, m in sorted(self.integer_roots.items())},
             "complex_roots": [
-                {"re": _fmt(z.real), "im": _fmt(z.imag), "mult": m}
+                {"re": float_text(z.real), "im": float_text(z.imag), "mult": m}
                 for z, m in self.complex_roots],
-            "residuals": [_fmt(r) for r in self.residuals],
+            "residuals": [float_text(r) for r in self.residuals],
             "rouche_radius": str(self.rouche_radius),
-            "max_modulus": _fmt(self.max_modulus),
-        })
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12e")
+            "max_modulus": float_text(self.max_modulus),
+        }
 
 
 def root_report(p: IntPoly) -> RootReport:
@@ -541,10 +537,9 @@ def root_report(p: IntPoly) -> RootReport:
     )
 
 
-def scatter_rows(p: IntPoly, graph6: str, family: str
-                 ) -> list[tuple[str, ...]]:
-    """CSV rows (re, im, modulus, graph6, family), one per root w/ multiplicity."""
+def scatter_rows(p: IntPoly) -> list[tuple[str, str, str]]:
+    """(re, im, modulus) texts of each root, repeated by its multiplicity."""
     if p.is_zero():
         return []
-    return [(_fmt(z.real), _fmt(z.imag), _fmt(abs(z)), graph6, family)
+    return [(float_text(z.real), float_text(z.imag), float_text(abs(z)))
             for z, mult in complex_roots(p) for _ in range(mult)]

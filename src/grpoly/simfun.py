@@ -347,22 +347,20 @@ class ReductionVerdict:
     min_valid_points: int
     counterexample: Optional[Counterexample]
 
-    def to_json(self) -> str:
-        ce = None
-        if self.counterexample is not None:
-            ce = {
-                "graph6": self.counterexample.graph6,
-                "point": [str(x) for x in self.counterexample.point],
-                "lhs": str(self.counterexample.lhs),
-                "rhs": str(self.counterexample.rhs),
-            }
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        ce = self.counterexample
+        return {
             "status": self.status,
             "graphs_checked": self.graphs_checked,
             "points_required": self.points_required,
             "min_valid_points": self.min_valid_points,
-            "counterexample": ce,
-        })
+            "counterexample": None if ce is None else {
+                "graph6": ce.graph6, "point": [str(x) for x in ce.point],
+                "lhs": str(ce.lhs), "rhs": str(ce.rhs)},
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def _candidate_values(count: int) -> list[Fraction]:

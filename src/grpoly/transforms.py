@@ -11,24 +11,25 @@ every root into the disk of radius 2.
 
 The sign, parity and scale substitutions are coefficient maps, each O(d) on
 a degree-d input: P(-X) sends h_i to (-1)^i h_i, P(X^2) moves h_i to slot
-2i with zeros between, and P(aX) sends h_i to h_i a^i.  They equal the
-general composition ``polynomials.substitute`` with inner polynomial -X, X^2
-and aX, which the tests compare them against.
+2i with zeros between, and P(aX) sends h_i to h_i a^i; the tests compare
+them with ``polynomials.substitute`` by the inner polynomials -X, X^2, aX.
+
+``parse_chain`` checks a chain of named steps before any input is read, and
+the records hand the CLI JSON objects (``to_json_dict``), never text.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 from typing import Optional, Sequence
 
 from .graphs import (Graph, SimilarityTriple, build_graph_with_parameters,
                      graph_to_graph6)
-from .polynomials import (IntPoly, ONE, ZERO, divide_out_root, from_roots,
-                          int_text, poly_wire)
+from .polynomials import (IntPoly, ONE, ZERO, divide_out_root, float_text,
+                          from_roots, int_text, poly_wire)
 from .roots import backward_error, is_real_rooted
 
 MAX_WITNESS_EDGES = 5_000_000
@@ -46,17 +47,17 @@ class TransformRecord:
     output: IntPoly
     inverse_data: dict
 
-    def to_json(self) -> str:
+    def to_json_dict(self) -> dict:
         def text(v) -> str:
             return int_text(v) if isinstance(v, int) else str(v)
 
-        return json.dumps({
+        return {
             "transform": self.transform,
             "params": {k: text(v) for k, v in self.params.items()},
             "input": poly_wire(self.input),
             "output": poly_wire(self.output),
             "inverse_data": {k: text(v) for k, v in self.inverse_data.items()},
-        })
+        }
 
 
 # -- sign and parity substitutions ---------------------------------------------
@@ -227,19 +228,16 @@ class DensityWitness:
     residual: float
 
     def to_json_dict(self) -> dict:
-        obj = {
+        return {
             "a": self.a, "b": self.b, "c": self.c, "scale": self.scale,
-            "triple": {"n": self.triple.n, "m": self.triple.m,
-                       "k": self.triple.k},
+            "triple": asdict(self.triple),
             "root": {"re": str(self.root[0]), "im": str(self.root[1])},
             "distance_sq": str(self.distance_sq),
-            "residual": format(self.residual, ".12e"),
+            "residual": float_text(self.residual),
             "graph_n": self.graph.n,
-            "graph6": None,
+            "graph6": graph_to_graph6(self.graph)
+            if self.graph.n <= GRAPH6_UP_TO else None,
         }
-        if self.graph.n <= GRAPH6_UP_TO:
-            obj["graph6"] = graph_to_graph6(self.graph)
-        return obj
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -311,8 +309,7 @@ def density_witness(re: Fraction, im: Fraction, eps: Fraction
     if eps <= 0:
         raise ValueError("eps must be positive")
     a, b, c = _approximate_target(re, im, eps)
-    lo, mid, hi = sorted((a, b, c))
-    v, e, k = mid, hi, lo
+    k, v, e = sorted((a, b, c))
     scale = 1
     if e > comb(v - k + 1, 2):
         scale = 2 * e
@@ -418,36 +415,67 @@ _PLAIN_TRANSFORMS = {
 }
 
 
+def _unknown_transform(name: str) -> ValueError:
+    return ValueError(f"unknown transform {name!r}; known: "
+                      f"{', '.join(TRANSFORM_NAMES)}")
+
+
+def _argument(name: str, arg: Optional[str]):
+    """The value of a named step's argument text, None for none; ValueError
+    for an unknown name or an argument that the text alone rules out."""
+    if name not in TRANSFORM_NAMES:
+        raise _unknown_transform(name)
+    if arg is None or name == "densify" and arg in DENSIFY_MODES:
+        return arg
+    if name in _PLAIN_TRANSFORMS:
+        raise ValueError(f"{name} takes no argument, got {arg!r}")
+    if name == "densify":
+        raise ValueError(f"mode must be one of {DENSIFY_MODES}")
+    return int(arg)
+
+
+def parse_chain(text: str) -> list[tuple[str, Optional[str]]]:
+    """The (name, argument or None) steps of a comma list such as
+    ``interleave,scale:2``, each checked as ``apply_named_transform`` does."""
+    steps = []
+    for step in text.split(","):
+        if not step:
+            raise ValueError(f"empty step in chain {text!r}")
+        name, _, arg = step.partition(":")
+        steps.append((name, arg or None))
+        _argument(*steps[-1])
+    return steps
+
+
 def apply_named_transform(name: str, p: IntPoly,
                           t: Optional[SimilarityTriple] = None,
                           arg: Optional[str] = None) -> TransformRecord:
     """Apply one transform by CLI name, recording params and inverse data."""
+    value = None if arg is None else _argument(name, arg)
     if name in _PLAIN_TRANSFORMS:
-        if arg is not None:
-            raise ValueError(f"{name} takes no argument, got {arg!r}")
         fn, inverse = _PLAIN_TRANSFORMS[name]
         return TransformRecord(name, {}, p, fn(p), {"inverse": inverse})
     if t is None and name in ("densify", "scale"):
         raise ValueError(f"{name} needs a graph source for the triple")
     if name == "realify":
-        s = int(arg) if arg is not None else max(p.degree, 0)
+        s = value if value is not None else max(p.degree, 0)
         return TransformRecord("realify", {"s": s}, p, realify(p, s),
                                {"s": s, "inverse": "recover-coefficients"})
     if name == "densify":
-        mode = arg or "complex"
+        mode = value or "complex"
         return TransformRecord(
             "densify", {"mode": mode, "n": t.n, "m": t.m, "k": t.k},
             p, densify(p, t, mode), {"divide-by": "prefactor"})
     if name == "rouche":
-        a = int(arg) if arg is not None else max([1, *map(abs, p.coeffs[:-1])])
+        a = value if value is not None else max([1, *map(abs, p.coeffs[:-1])])
         return TransformRecord("rouche", {"A": a}, p, rouche_scale(p, a),
                                {"A": a, "inverse": "X -> X/A"})
     if name == "scale":
-        r = int(arg) if arg is not None else 1
+        r = value if value is not None else 1
         return TransformRecord(
             "scale", {"r": r, "n": t.n}, p, scale_for_graph(p, t, r),
             {"A": t.n ** r, "inverse": "X -> X/n^r"})
-    raise ValueError(f"unknown transform {name!r}")
+    raise _unknown_transform(name)
 
 
 TRANSFORM_NAMES = ("negate", "square", "interleave", "deinterleave",

@@ -223,7 +223,7 @@ class TestTransformCommand:
                 for name in ("negate", "square", "rouche"):
                     rec = named_transform_reference(name, p,
                                                     similarity_triple(g))
-                    obj = json.loads(rec.to_json())
+                    obj = json.loads(json.dumps(rec.to_json_dict()))
                     obj["graph6"] = graph_to_graph6(g)
                     obj["family"] = "charA"
                     lines.append(json.dumps(obj))
@@ -488,12 +488,25 @@ class TestMalformedInput:
            "--chain", chain]
           for chain in (",", "negate,,square", "negate,", "negate:5",
                         "interleave:x")),
+        # checked before the source is read, so an empty one is refused too
+        *(["transform", "--family", "charA", "--graph6", os.devnull,
+           "--chain", chain]
+          for chain in ("negate:5", "realify:x", "densify:bogus",
+                        "negate,,square")),
+        *([command, "--family", "tutte", *options, "--graph6", os.devnull]
+          for command, options in (("roots", ()),
+                                   ("poly", ("--format", "csv")),
+                                   ("scatter", ()))),
     ], ids=["empty-spec", "unknown-family", "spec-not-object",
             "deep-prefactor", "target-zero-denominator",
             "eps-zero-denominator", "huge-complete", "huge-edgeless",
             "chain-comma", "chain-empty-middle-step",
             "chain-trailing-comma", "chain-negate-argument",
-            "chain-interleave-argument"])
+            "chain-interleave-argument", "empty-source-negate-argument",
+            "empty-source-realify-not-integer",
+            "empty-source-densify-bad-mode", "empty-source-empty-step",
+            "empty-source-roots-tutte", "empty-source-poly-csv-tutte",
+            "empty-source-scatter-tutte"])
     def test_exits_two_with_one_error_line(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -596,8 +609,9 @@ class TestByteIdentity:
                  "a906ca92ba38f304b0381179ad9dbd32"),
         "roots": ("4dc4fa8e991c7d4e4b47a99e53906228"
                   "9b83a8557b658e19a7c7b44b34ac48a5"),
-        "scatter": ("225a80a8722039d600418e8f36a01948"
-                    "6138d12c37a17424cca1803f6f27fe77"),
+        # a bivariate family exits 2 before the CSV header is printed
+        "scatter": ("2356da81ac0fdb9611f0adf0257f9b91"
+                    "fadb53238846a78a71beb327f587b047"),
         "transform": ("7f6be2d32328e1b35b5da7ec0ad7c43e"
                       "7c1695b6966a6a1e6513c5c3a3914e4d"),
         "equiv": ("797a70bdcdcc3d22ff1d7a394f86770c"

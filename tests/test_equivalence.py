@@ -122,7 +122,7 @@ class TestDpCompare:
     def test_json_schema(self):
         import json
         verdict = dp_compare("charA", "charL", 6)
-        obj = json.loads(verdict.to_json())
+        obj = json.loads(json.dumps(verdict.to_json_dict()))
         assert set(obj) == {"left", "right", "relation", "witnesses"}
         for w in obj["witnesses"]:
             assert set(w) == {"class", "g1", "g2", "val1_left", "val2_left",

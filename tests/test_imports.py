@@ -2,7 +2,9 @@
 file, every module-level private function or class of a grpoly module is
 referenced outside its own body, and every public one is named somewhere
 other than its own definition: in its module, another module, or the
-scripts, benchmark or tests.  A re-export in ``__init__`` does not count."""
+scripts, benchmark or tests.  A re-export in ``__init__`` does not count.
+Only the modules that turn JSON objects into text, or text into them,
+import ``json``."""
 
 import ast
 import re
@@ -49,9 +51,8 @@ def mentions() -> dict[str, set[str]]:
     return out
 
 
-@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
-def test_no_unused_imports(path):
-    tree = _parse(path)
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the file binds by import, with the line of its import."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -60,6 +61,13 @@ def test_no_unused_imports(path):
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 imported[name] = node.lineno
+    return imported
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
+def test_no_unused_imports(path):
+    tree = _parse(path)
+    imported = _imported(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported.items() if name not in used)
@@ -90,3 +98,11 @@ def test_every_public_definition_is_named(path, mentions):
         and not any(stmt.name in _mentions(other)
                     for other in tree.body if other is not stmt))
     assert unused == []
+
+
+def test_only_the_text_writers_import_json():
+    # records hand over JSON objects; the CLI writes the text, polynomials
+    # reads and writes the polynomial wire text and simfun the spec text
+    writers = [path.name for path in MODULES
+               if "json" in _imported(_parse(path))]
+    assert writers == ["cli.py", "polynomials.py", "simfun.py"]

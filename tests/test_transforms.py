@@ -21,8 +21,8 @@ from grpoly.transforms import (DensityCapError, TransformRecord,
                                apply_named_transform,
                                deinterleave, dense_real_prefactor, densify,
                                density_witness, interleave_nonneg, negate_variable,
-                               permute_coefficients, quadrant_factor,
-                               quadrant_prefactor, realify,
+                               parse_chain, permute_coefficients,
+                               quadrant_factor, quadrant_prefactor, realify,
                                realify_rootencode, recover_coefficients,
                                remap_roots, rouche_scale, scale_for_graph,
                                square_variable)
@@ -116,7 +116,8 @@ class TestCoefficientMaps:
                                       ("rouche", None), ("scale", str(r))):
                         got = apply_named_transform(name, p, t, arg)
                         want = named_transform_reference(name, p, t, arg)
-                        assert got.to_json() == want.to_json(), (name, fam, n)
+                        assert json.dumps(got.to_json_dict()) == \
+                            json.dumps(want.to_json_dict()), (name, fam, n)
                         records += 1
         assert records == 3328
 
@@ -456,31 +457,32 @@ class TestNamedRegistry:
     def test_record_json_round_trip(self):
         rec = apply_named_transform("interleave", poly(2, -1))
         assert rec.output == poly(2, 0, 0, 1)
-        assert '"transform": "interleave"' in rec.to_json()
+        assert '"transform": "interleave"' in json.dumps(rec.to_json_dict())
 
     def test_small_record_json_bytes(self):
         rec = apply_named_transform("realify", poly(1, 2))
-        assert rec.to_json() == (
+        assert json.dumps(rec.to_json_dict()) == (
             '{"transform": "realify", "params": {"s": "1"}, '
             '"input": {"basis": "power", "coeffs": ["1", "2"]}, '
             '"output": {"basis": "power", '
             '"coeffs": ["0", "0", "-1", "3", "-3", "1"]}, '
             '"inverse_data": {"s": "1", "inverse": "recover-coefficients"}}')
         rec = apply_named_transform("interleave", poly(-3, 0, 5))
-        assert json.loads(rec.to_json())["output"]["coeffs"] == \
-            ["0", "3", "0", "0", "5"]
+        obj = json.loads(json.dumps(rec.to_json_dict()))
+        assert obj["output"]["coeffs"] == ["0", "3", "0", "0", "5"]
 
     def test_record_json_beyond_int_str_digit_limit(self):
         big = 7 ** 20000  # 16,902 digits, past the default 4,300-digit limit
         rec = TransformRecord("interleave", {}, poly(-big), poly(0, big), {})
-        obj = json.loads(rec.to_json())
+        obj = json.loads(json.dumps(rec.to_json_dict()))
         assert obj["input"]["coeffs"] == [str(Decimal(-big))]
         assert obj["output"]["coeffs"] == ["0", str(Decimal(big))]
 
     def test_record_json_int_params_beyond_int_str_digit_limit(self):
         # the default rouche scale A is the largest lower coefficient
         big = 7 ** 20000
-        obj = json.loads(apply_named_transform("rouche", poly(big, 1)).to_json())
+        obj = json.loads(json.dumps(
+            apply_named_transform("rouche", poly(big, 1)).to_json_dict()))
         assert Decimal(obj["params"]["A"]) == big
         assert Decimal(obj["inverse_data"]["A"]) == big
         assert obj["inverse_data"]["inverse"] == "X -> X/A"
@@ -499,3 +501,31 @@ class TestNamedRegistry:
     def test_argument_free_transform_rejects_an_argument(self, name):
         with pytest.raises(ValueError, match=f"^{name} takes no argument"):
             apply_named_transform(name, poly(1, 2), T542, "5")
+
+
+class TestParseChain:
+    def test_steps(self):
+        assert parse_chain("interleave,realify:3,densify:real-positive,"
+                           "scale:0,rouche:") == [
+            ("interleave", None), ("realify", "3"),
+            ("densify", "real-positive"), ("scale", "0"), ("rouche", None)]
+
+    @pytest.mark.parametrize("chain, message", [
+        (",", "empty step"), ("negate,,square", "empty step"),
+        ("negate,", "empty step"), ("negate:5", "negate takes no argument"),
+        ("interleave:x", "interleave takes no argument"),
+        ("realify:x", "invalid literal"), ("densify:bogus", "mode must be"),
+        ("fourier", "unknown transform 'fourier'; known: negate, square"),
+    ])
+    def test_rejected(self, chain, message):
+        with pytest.raises(ValueError, match=message):
+            parse_chain(chain)
+
+    @pytest.mark.parametrize("step", ["fourier", "negate:5", "densify:bogus"])
+    def test_same_text_as_apply_named_transform(self, step):
+        name, _, arg = step.partition(":")
+        with pytest.raises(ValueError) as chain_error:
+            parse_chain(step)
+        with pytest.raises(ValueError) as apply_error:
+            apply_named_transform(name, poly(1, 2), T542, arg or None)
+        assert str(chain_error.value) == str(apply_error.value)
